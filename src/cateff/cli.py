@@ -8,7 +8,7 @@ import sys
 
 from .conformance import run_conformance
 from .denote import denote_program
-from .eval import MaxStepsExceeded, OpAtTop, Terminal, run_program
+from .eval import EvalError, OpAtTop, Terminal, run_program
 from .freemodel import Coerce, Leaf, Node, tree_to_json
 from .grading import GradingError
 from .parser import CeffError, load_bundle
@@ -53,7 +53,7 @@ def cmd_run(args) -> int:
     for name, prog in bundle.programs.items():
         try:
             trace = run_program(prog, max_steps=args.max_steps)
-        except (MaxStepsExceeded, MissingClause) as exc:
+        except (EvalError, MissingClause) as exc:
             print(f"{name}: error: {exc}", file=sys.stderr)
             status = 2
             continue

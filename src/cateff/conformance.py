@@ -14,10 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .denote import denote_computation
-from .eval import (
-    EvalError, MaxStepsExceeded, OpAtTop, RedexAt, Terminal, decompose,
-    rebuild, _apply_rule,
-)
+from .eval import EvalError, MaxStepsExceeded, OpAtTop, run, steps
 from .freemodel import tree_to_json, unit_leaf
 from .signature import (
     GradedSignature, Prod, STAR, Sum, Type, UNIT, is_primitive,
@@ -64,22 +61,6 @@ class ConformanceReport:
 # ---------------------------------------------------------------------------
 # per-program metatheory checks
 
-def trace_with_denotations(comp: CompAst, sig: GradedSignature,
-                           max_steps: int = 100_000):
-    """Run a primitive-result computation, denoting every configuration."""
-    configs = [comp]
-    denots = [tree_to_json(denote_computation((), comp, (), sig))]
-    m = comp
-    for _ in range(max_steps):
-        d = decompose(m, sig)
-        if not isinstance(d, RedexAt):
-            return configs, denots, d
-        m = rebuild(d.frames, _apply_rule(d.redex, d.rule, d.sig))
-        configs.append(m)
-        denots.append(tree_to_json(denote_computation((), m, (), sig)))
-    raise MaxStepsExceeded(f"no terminal configuration within {max_steps} steps")
-
-
 def verify_soundness_along_trace(comp: CompAst, sig: GradedSignature,
                                  max_steps: int = 100_000) -> CheckResult:
     """Denotation must be invariant across every small step."""
@@ -88,7 +69,8 @@ def verify_soundness_along_trace(comp: CompAst, sig: GradedSignature,
         return CheckResult("soundness", False,
                            "program rejected: result type is not primitive")
     try:
-        configs, denots, _ = trace_with_denotations(comp, sig, max_steps)
+        denots = [tree_to_json(denote_computation((), m, (), sig))
+                  for m, _ in steps(comp, sig, max_steps)]
     except EvalError as exc:
         return CheckResult("soundness", False, str(exc))
     for i in range(1, len(denots)):
@@ -97,7 +79,7 @@ def verify_soundness_along_trace(comp: CompAst, sig: GradedSignature,
                 "soundness", False,
                 f"denotation changed at step {i}: "
                 f"{json.dumps(denots[0])} vs {json.dumps(denots[i])}")
-    return CheckResult("soundness", True, f"{len(configs) - 1} steps invariant")
+    return CheckResult("soundness", True, f"{len(denots) - 1} steps invariant")
 
 
 def verify_adequacy(comp: CompAst, sig: GradedSignature,
@@ -112,22 +94,17 @@ def verify_adequacy(comp: CompAst, sig: GradedSignature,
     if tree != unit_leaf(grade.dom, STAR):
         return CheckResult("adequacy", True,
                            "vacuous: denotation is not the star leaf")
-    trace_m = comp
     try:
-        for _ in range(max_steps):
-            d = decompose(trace_m, sig)
-            if isinstance(d, Terminal):
-                if not d.weakens and d.value == StarV() and d.obj == grade.dom:
-                    return CheckResult("adequacy", True, "reached val star")
-                return CheckResult("adequacy", False,
-                                   f"terminal is not val {grade.dom} ()")
-            if isinstance(d, OpAtTop):
-                return CheckResult("adequacy", False,
-                                   f"suspended on operation {d.op}")
-            trace_m = rebuild(d.frames, _apply_rule(d.redex, d.rule, d.sig))
+        final = run(comp, sig, max_steps).final
+    except MaxStepsExceeded:
+        return CheckResult("adequacy", False, f"no value within {max_steps} steps")
     except EvalError as exc:
         return CheckResult("adequacy", False, str(exc))
-    return CheckResult("adequacy", False, f"no value within {max_steps} steps")
+    if isinstance(final, OpAtTop):
+        return CheckResult("adequacy", False, f"suspended on operation {final.op}")
+    if not final.weakens and final.value == StarV() and final.obj == grade.dom:
+        return CheckResult("adequacy", True, "reached val star")
+    return CheckResult("adequacy", False, f"terminal is not val {grade.dom} ()")
 
 
 def _uses_weakening(m: CompAst) -> bool:
@@ -158,35 +135,31 @@ def verify_lemma_shapes(comp: CompAst, sig: GradedSignature,
     """
     ty0, g0 = grade_of_computation((), comp, sig)
     weakened = _uses_weakening(comp)
-    m = comp
     try:
-        for _ in range(max_steps):
-            d = decompose(m, sig)  # progress: total on checked terms
-            if isinstance(d, Terminal):
-                if d.weakens:
-                    if weakened:
-                        return CheckResult(
-                            "lemma-shapes", True,
-                            "value form under the program's residual weakening")
-                    return CheckResult("lemma-shapes", False,
-                                       "unexpected residual weakening")
-                if not g0.is_identity:
+        # progress: decomposition is total on checked terms
+        for i, (m, d) in enumerate(steps(comp, sig, max_steps)):
+            if i:
+                ty, g = grade_of_computation((), m, sig)
+                if ty != ty0 or g != g0:
                     return CheckResult(
                         "lemma-shapes", False,
-                        f"value form at non-identity grade {g0}")
-                return CheckResult("lemma-shapes", True, "ended in a value form")
-            if isinstance(d, OpAtTop):
-                return CheckResult("lemma-shapes", True,
-                                   f"ended about to perform {d.op}")
-            m = rebuild(d.frames, _apply_rule(d.redex, d.rule, d.sig))
-            ty, g = grade_of_computation((), m, sig)
-            if ty != ty0 or g != g0:
-                return CheckResult(
-                    "lemma-shapes", False,
-                    f"preservation broken: ({ty0}, {g0}) became ({ty}, {g})")
+                        f"preservation broken: ({ty0}, {g0}) became ({ty}, {g})")
+    except MaxStepsExceeded:
+        return CheckResult("lemma-shapes", False,
+                           f"no final shape in {max_steps} steps")
     except EvalError as exc:
         return CheckResult("lemma-shapes", False, f"progress broken: {exc}")
-    return CheckResult("lemma-shapes", False, f"no final shape in {max_steps} steps")
+    if isinstance(d, OpAtTop):
+        return CheckResult("lemma-shapes", True, f"ended about to perform {d.op}")
+    if d.weakens:
+        if weakened:
+            return CheckResult("lemma-shapes", True,
+                               "value form under the program's residual weakening")
+        return CheckResult("lemma-shapes", False, "unexpected residual weakening")
+    if not g0.is_identity:
+        return CheckResult("lemma-shapes", False,
+                           f"value form at non-identity grade {g0}")
+    return CheckResult("lemma-shapes", True, "ended in a value form")
 
 
 # ---------------------------------------------------------------------------

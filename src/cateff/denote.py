@@ -147,7 +147,6 @@ def denote_handler(h: HandlerAst, names: tuple = (), env: tuple = ()):
                     index = {v: i for i, v in enumerate(enumerate_type(decl.arity))}
                     arity_index[op] = index
                 rfun = FunV(lambda i, _ch=children: fold(_ch[index[i]]))
-                gk = h.functor.apply(k)
                 clause_names = names + (clause.param_var, clause.resume_var)
                 clause_env = env + (param, rfun)
                 return denote_computation(clause_names, clause.body,

@@ -2,7 +2,11 @@
 
 A closed well-typed computation decomposes uniquely into either a value
 form, an unhandled operation under a handler-free context, or a redex under
-a stack of lift frames (lets, handles, weakenings).  Handler dispatch picks
+a stack of lift frames (lets, handles, weakenings).  `steps` is the only
+step loop: it decomposes, applies the redex's rule and rebuilds, yielding
+every configuration with its decomposition; `run`, `step` and the
+conformance checks all consume it or its rule-and-rebuild helper, so the
+step budget is counted in one place.  Handler dispatch picks
 the clause for the continuation grade of the operation, obtained by
 re-checking the continuation with a fresh variable plugged into the hole;
 the typechecker is the single source of truth for grading.
@@ -15,14 +19,15 @@ programs are reported as blocked rather than stepped unsoundly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import count
+from typing import Iterator, Optional
 
 from .grading import Morphism
 from .signature import GradedSignature
 from .terms import (
     App, CompAst, Gunit, Handle, HandlerAst, Inl, Inr, Lam, Let, Match,
     OpCall, Pair, Program, Proj, Val, ValueAst, Var, free_comp_vars,
-    substitute,
+    fresh_name, substitute,
 )
 from .typecheck import clause_for, grade_of_computation
 
@@ -156,16 +161,6 @@ def _rule_name(m: CompAst) -> str:
     raise EvalError(f"no rule for {m!r}")
 
 
-def _pick_fresh(base: str, avoid) -> str:
-    """Deterministic fresh name: traces must be reproducible run to run."""
-    if base not in avoid:
-        return base
-    n = 1
-    while f"{base}{n}" in avoid:
-        n += 1
-    return f"{base}{n}"
-
-
 def _frame_names(frames) -> set:
     avoid = set()
     for frame in frames:
@@ -178,7 +173,7 @@ def continuation_grade(frames, op: str, sig: GradedSignature) -> Morphism:
     """Grade k of E[val_c y] for a handler-free context E around op, fresh y."""
     decl = sig[op]
     c = decl.grade.cod
-    y = _pick_fresh("y", _frame_names(frames))
+    y = fresh_name("y", _frame_names(frames))
     cont = rebuild(frames, Val(c, Var(y)))
     _, k = grade_of_computation(((y, decl.arity),), cont, sig)
     return k
@@ -220,7 +215,7 @@ def _handle_op(inner: OpAtTop, handler: HandlerAst) -> CompAst:
     c = decl.grade.cod
     avoid = {clause.param_var, clause.resume_var} | free_comp_vars(clause.body)
     avoid |= _frame_names(inner.frames)
-    y = _pick_fresh("y", avoid)
+    y = fresh_name("y", avoid)
     resumed = rebuild(inner.frames, Val(c, Var(y)))
     resume = Lam(gk, y, decl.arity, Handle(resumed, handler))
     return substitute(clause.body,
@@ -228,15 +223,34 @@ def _handle_op(inner: OpAtTop, handler: HandlerAst) -> CompAst:
                        clause.resume_var: resume})
 
 
+def _reduce(d: RedexAt) -> CompAst:
+    """Apply the redex's rule and plug the result back into its context."""
+    return rebuild(d.frames, _apply_rule(d.redex, d.rule, d.sig))
+
+
 def step(m: CompAst, sig: GradedSignature) -> Optional[CompAst]:
     """One small step, or None if the term is terminal or an unhandled op."""
     d = decompose(m, sig)
-    match d:
-        case Terminal(_, _, _) | OpAtTop(_, _, _, _):
-            return None
-        case RedexAt(frames, redex, rule, isig):
-            return rebuild(frames, _apply_rule(redex, rule, isig))
-    raise EvalError("impossible decomposition")
+    return _reduce(d) if isinstance(d, RedexAt) else None
+
+
+def steps(m: CompAst, sig: GradedSignature,
+          max_steps: int = 100_000) -> Iterator[tuple[CompAst, Decomposition]]:
+    """Yield every configuration with its decomposition, from ``m`` to a
+    value form or an unhandled operation call.
+
+    Raises MaxStepsExceeded only if a redex is left after ``max_steps``
+    rule applications.
+    """
+    for n in count():
+        d = decompose(m, sig)
+        yield m, d
+        if not isinstance(d, RedexAt):
+            return
+        if n >= max_steps:
+            raise MaxStepsExceeded(
+                f"no terminal configuration within {max_steps} steps")
+        m = _reduce(d)
 
 
 @dataclass
@@ -255,15 +269,11 @@ class Trace:
 
 
 def run(m: CompAst, sig: GradedSignature, max_steps: int = 100_000) -> Trace:
-    """Iterate step until a value form or an unhandled operation call."""
-    configs = [m]
-    for _ in range(max_steps):
-        d = decompose(m, sig)
-        if not isinstance(d, RedexAt):
-            return Trace(configs, d, sig)
-        m = rebuild(d.frames, _apply_rule(d.redex, d.rule, d.sig))
-        configs.append(m)
-    raise MaxStepsExceeded(f"no terminal configuration within {max_steps} steps")
+    """Step until a value form or an unhandled operation call."""
+    configs = []
+    for config, d in steps(m, sig, max_steps):
+        configs.append(config)
+    return Trace(configs, d, sig)
 
 
 def run_program(prog: Program, max_steps: int = 100_000) -> Trace:

@@ -148,11 +148,6 @@ def tree_leaves(t: TermTree):
             yield from tree_leaves(child)
 
 
-def trees_equal(t1: TermTree, t2: TermTree) -> bool:
-    """Structural equality; raises NonComparable on function-space payloads."""
-    return t1 == t2
-
-
 def tree_to_json(t: TermTree):
     match t:
         case Leaf(obj, val):
@@ -198,11 +193,6 @@ def interpret(t: TermTree, model: FiniteModel, k: Morphism, env: dict):
             raise MissingInterp(
                 f"finite model lacks generalised-unit structure for {r}")
     raise FreeModelError(f"not a term tree: {t!r}")
-
-
-def interpret_family(t: TermTree, model: FiniteModel, envs_by_k: dict):
-    """Interpretation at every k for which an environment is supplied."""
-    return {k: interpret(t, model, k, env) for k, env in envs_by_k.items()}
 
 
 def free_extension(phi, model: FiniteModel) -> Callable:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Sequence
 
 
 class GradingError(Exception):
@@ -257,17 +256,6 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(f.cat, f.dom, g.cod, f.cat.normalize(f.path + g.path))
 
 
-def compose_all(ms: Sequence[Morphism], cat=None, dom=None) -> Morphism:
-    if not ms:
-        if cat is None or dom is None:
-            raise GradingError("empty composite needs a category and object")
-        return cat.identity(dom)
-    out = ms[0]
-    for m in ms[1:]:
-        out = compose(out, m)
-    return out
-
-
 class GradingFunctor:
     """A functor between finitely presented categories, given on generators."""
 
@@ -299,15 +287,14 @@ class GradingFunctor:
 
     def _check_rules(self):
         for rule in self.source.rules:
-            dom = self.source.generators[rule.lhs[0]].dom
-            lhs = self._image_path(rule.lhs, self.object_map[dom])
-            rhs = self._image_path(rule.rhs, self.object_map[dom])
+            lhs = self._image_path(rule.lhs)
+            rhs = self._image_path(rule.rhs)
             if lhs != rhs:
                 raise GradingError(
                     f"functor {self.name} breaks rule "
                     f"{'.'.join(rule.lhs)} = {'.'.join(rule.rhs) or 'id'}")
 
-    def _image_path(self, path, dom_img):
+    def _image_path(self, path):
         out: tuple[str, ...] = ()
         for name in path:
             out = out + self.generator_map[name].path
@@ -319,7 +306,7 @@ class GradingFunctor:
         key = (m.dom, m.path)
         hit = self._cache.get(key)
         if hit is None:
-            path = self._image_path(m.path, self.object_map[m.dom])
+            path = self._image_path(m.path)
             hit = Morphism(self.target, self.object_map[m.dom],
                            self.object_map[m.cod], path)
             self._cache[key] = hit

@@ -7,7 +7,6 @@ descends into handled computations but never into handler clauses.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .grading import GradingCategory, GradingFunctor, Morphism
@@ -202,15 +201,17 @@ def free_comp_vars(m: CompAst) -> set:
     raise TypeError(f"not a computation: {m!r}")
 
 
-_fresh_counter = itertools.count(1)
+def fresh_name(base: str, avoid) -> str:
+    """``base`` if it is not in ``avoid``, else the smallest free ``base<n>``.
 
-
-def fresh_name(base: str, avoid: set) -> str:
-    """A name not in ``avoid``, derived from ``base`` via a global counter."""
-    while True:
-        cand = f"{base}__{next(_fresh_counter)}"
-        if cand not in avoid:
-            return cand
+    Deterministic, so that substitutions and traces are reproducible.
+    """
+    if base not in avoid:
+        return base
+    n = 1
+    while f"{base}{n}" in avoid:
+        n += 1
+    return f"{base}{n}"
 
 
 def _subst_under_binder(var, body, subs, subst_fn):

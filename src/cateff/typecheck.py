@@ -87,7 +87,6 @@ class Judgement:
     subject: object
     result_type: Type
     grade: Optional[Morphism] = None
-    handler_profile: Optional[HandlerProfile] = None
 
 
 def lookup(ctx: Ctx, name: str) -> Type:

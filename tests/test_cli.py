@@ -54,6 +54,21 @@ def test_run_exceeding_step_budget_exits_two(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_blocked_program_reports_an_error_and_exits_two(tmp_path, capsys):
+    blocked = tmp_path / "blocked.ceff"
+    blocked.write_text("""
+    category C { objects a; gen u : a -> a; wide u; }
+    signature S over C { }
+    program stuck over S : 1 @ u {
+      let x <- weaken u { val a () } id(a) in val a x
+    }
+    """)
+    assert main(["run", str(blocked)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("stuck: error: ")
+    assert "Traceback" not in err
+
+
 def test_max_steps_env_override(monkeypatch, capsys):
     monkeypatch.setenv("CATEFF_MAX_STEPS", "2")
     assert main(["run", theory_path("pair_handler")]) == 2

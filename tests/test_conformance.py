@@ -187,16 +187,26 @@ def test_adequacy_oracle_catches_a_non_terminating_machine(session_bundle,
                                                            monkeypatch):
     # sabotage S-Let into a no-op rewrite: adequacy-eligible programs then
     # spin in place and the step budget must flag them
-    import cateff.conformance as conf
-    real_apply = conf._apply_rule
+    import cateff.eval as ev
+    real_apply = ev._apply_rule
 
     def spinning(redex, rule, sig):
         if rule == "S-Let":
             return redex
         return real_apply(redex, rule, sig)
 
-    monkeypatch.setattr(conf, "_apply_rule", spinning)
+    monkeypatch.setattr(ev, "_apply_rule", spinning)
     sig = session_bundle.signatures["SessionSig"]
     prog = Let("x", Val("one", StarV()), Val("one", StarV()))
     res = verify_adequacy(prog, sig, max_steps=50)
     assert not res.passed
+    assert res.detail == "no value within 50 steps"
+
+
+def test_checks_pass_on_a_budget_of_exactly_the_steps_needed(pair_bundle):
+    # pair_main takes exactly 7 steps; the budget counts rule applications
+    prog = pair_bundle.programs["pair_main"]
+    for check in (verify_lemma_shapes, verify_soundness_along_trace):
+        assert check(prog.body, prog.signature, max_steps=7).passed
+        res = check(prog.body, prog.signature, max_steps=6)
+        assert not res.passed

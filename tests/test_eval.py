@@ -3,7 +3,7 @@ import pytest
 from cateff.eval import (
     HandleFrame, LetFrame, MaxStepsExceeded, OpAtTop, RedexAt, Stuck,
     Terminal, WeakenFrame, continuation_grade, decompose, rebuild, run,
-    run_program, step,
+    run_program, step, steps,
 )
 from cateff.parser import parse_bundle
 from cateff.terms import (
@@ -100,6 +100,22 @@ def test_max_steps_exceeded(pair_bundle):
     prog = pair_bundle.programs["pair_main"]
     with pytest.raises(MaxStepsExceeded):
         run_program(prog, max_steps=2)
+
+
+def test_step_budget_counts_rule_applications(pair_bundle):
+    prog = pair_bundle.programs["pair_main"]
+    assert run_program(prog, max_steps=7).steps == 7
+    with pytest.raises(MaxStepsExceeded):
+        run_program(prog, max_steps=6)
+
+
+def test_steps_yields_each_configuration_with_its_decomposition(pair_bundle):
+    prog = pair_bundle.programs["pair_main"]
+    pairs = list(steps(prog.body, prog.signature))
+    assert [m for m, _ in pairs] == run_program(prog).configs
+    assert all(d == decompose(m, prog.signature) for m, d in pairs)
+    assert all(isinstance(d, RedexAt) for _, d in pairs[:-1])
+    assert isinstance(pairs[-1][1], Terminal)
 
 
 def test_runtime_missing_clause_without_static_check():

@@ -6,7 +6,7 @@ from cateff.denote import denote_computation
 from cateff.freemodel import (
     Coerce, FiniteModel, GradeHeterogeneous, Leaf, MissingInterp, Node,
     check_equations, coerce, free_extension, grade_of, graft, interpret,
-    make_node, tree_to_json, trees_equal, unit_leaf,
+    make_node, tree_to_json, unit_leaf,
 )
 from cateff.grading import build_category, compose
 from cateff.signature import (
@@ -121,7 +121,7 @@ def test_function_payloads_make_trees_noncomparable():
     t1 = unit_leaf("z", FunV(lambda v: unit_leaf("z", v)))
     t2 = unit_leaf("z", FunV(lambda v: unit_leaf("z", v)))
     with pytest.raises(NonComparable):
-        trees_equal(t1, t2)
+        t1 == t2
     with pytest.raises(NonComparable):
         tree_to_json(t1)
 
@@ -180,15 +180,15 @@ def test_interpret_of_graft_is_interpret_through_composed_environment():
         assert via_graft == via_compose
 
 
-def test_interpret_family_collects_per_k_results():
-    from cateff.freemodel import interpret_family
+def test_interpret_at_each_k_uses_that_ks_environment():
     cat = one_object_cat()
     idz, p = cat.identity("z"), cat.morphism(("p",))
     model = unary_model(cat, interp_id=lambda prm, ch: ch[0],
                         interp_p=lambda prm, ch: (ch[0] + 1) % 2)
     tree = make_node("sigma", p, STAR, (unit_leaf("z", STAR),))
-    fam = interpret_family(tree, model, {idz: {STAR: 1}, p: {STAR: 0}})
-    assert fam == {idz: 1, p: 1}
+    envs = {idz: {STAR: 1}, p: {STAR: 0}}
+    assert {k: interpret(tree, model, k, env) for k, env in envs.items()} \
+        == {idz: 1, p: 1}
 
 
 def test_free_extension_triangle_law():

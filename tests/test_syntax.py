@@ -158,6 +158,15 @@ def test_capture_avoiding_substitution_renames_binder(session_bundle):
     assert out.body == Val("int", Var("y"))
 
 
+def test_capturing_substitution_is_deterministic(session_bundle):
+    cat = session_bundle.categories["Session"]
+    from cateff.signature import UNIT
+    lam = Lam(cat.identity("int"), "y", UNIT, Val("int", Var("x")))
+    outs = [substitute_value(lam, {"x": Var("y")}) for _ in range(3)]
+    assert outs[0].var == "y1"
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
 def test_substitution_leaves_unrelated_binders_alone():
     m = Let("y", Val("a", StarV()), Val("a", Pair(Var("x"), Var("y"))))
     out = substitute(m, {"x": StarV()})
