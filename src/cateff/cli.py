@@ -7,14 +7,14 @@ import os
 import sys
 
 from .conformance import run_conformance
-from .denote import denote_program
+from .denote import DenoteError, denote_program
 from .eval import EvalError, OpAtTop, Terminal, run_program
 from .freemodel import Coerce, Leaf, Node, tree_to_json
 from .grading import GradingError
 from .parser import CeffError, load_bundle
 from .signature import NonComparable, SignatureError
 from .terms import pp_comp, pp_type
-from .typecheck import CateffTypeError, MissingClause, check_bundle, grade_of_computation
+from .typecheck import CateffTypeError, check_bundle, grade_of_computation
 
 
 def _default_max_steps() -> int:
@@ -53,7 +53,7 @@ def cmd_run(args) -> int:
     for name, prog in bundle.programs.items():
         try:
             trace = run_program(prog, max_steps=args.max_steps)
-        except (EvalError, MissingClause) as exc:
+        except EvalError as exc:
             print(f"{name}: error: {exc}", file=sys.stderr)
             status = 2
             continue
@@ -78,8 +78,14 @@ def cmd_denote(args) -> int:
     except CateffTypeError as exc:
         print(f"type error: {exc}", file=sys.stderr)
         return 1
+    status = 0
     for name, prog in bundle.programs.items():
-        tree = denote_program(prog)
+        try:
+            tree = denote_program(prog)
+        except DenoteError as exc:
+            print(f"{name}: error: {exc}", file=sys.stderr)
+            status = 2
+            continue
         if args.json:
             try:
                 print(json.dumps({name: tree_to_json(tree)}, sort_keys=True))
@@ -89,7 +95,7 @@ def cmd_denote(args) -> int:
                 return 1
         else:
             print(f"{name}: {_pp_tree(tree)}")
-    return 0
+    return status
 
 
 def _pp_tree(tree) -> str:

@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .denote import denote_computation
+from .denote import DenoteError, denote_computation
 from .eval import EvalError, MaxStepsExceeded, OpAtTop, run, steps
 from .freemodel import tree_to_json, unit_leaf
 from .signature import (
@@ -23,7 +23,7 @@ from .terms import (
     App, CompAst, Handle, HandlerAst, Inl, Inr, Lam, Let, Match, OpCall,
     Pair, Program, Proj, StarV, Val, ValueAst, Var,
 )
-from .typecheck import check_bundle, grade_of_computation
+from .typecheck import CateffTypeError, check_bundle, grade_of_computation
 
 
 class GenerationExhausted(Exception):
@@ -71,7 +71,7 @@ def verify_soundness_along_trace(comp: CompAst, sig: GradedSignature,
     try:
         denots = [tree_to_json(denote_computation((), m, (), sig))
                   for m, _ in steps(comp, sig, max_steps)]
-    except EvalError as exc:
+    except (EvalError, DenoteError) as exc:
         return CheckResult("soundness", False, str(exc))
     for i in range(1, len(denots)):
         if denots[i] != denots[0]:
@@ -90,7 +90,10 @@ def verify_adequacy(comp: CompAst, sig: GradedSignature,
     if ty != UNIT or not grade.is_identity:
         return CheckResult("adequacy", False,
                            "program rejected: needs type 1 at an identity grade")
-    tree = denote_computation((), comp, (), sig)
+    try:
+        tree = denote_computation((), comp, (), sig)
+    except DenoteError as exc:
+        return CheckResult("adequacy", False, str(exc))
     if tree != unit_leaf(grade.dom, STAR):
         return CheckResult("adequacy", True,
                            "vacuous: denotation is not the star leaf")
@@ -139,7 +142,11 @@ def verify_lemma_shapes(comp: CompAst, sig: GradedSignature,
         # progress: decomposition is total on checked terms
         for i, (m, d) in enumerate(steps(comp, sig, max_steps)):
             if i:
-                ty, g = grade_of_computation((), m, sig)
+                try:
+                    ty, g = grade_of_computation((), m, sig)
+                except CateffTypeError as exc:
+                    return CheckResult("lemma-shapes", False,
+                                       f"preservation broken: {exc}")
                 if ty != ty0 or g != g0:
                     return CheckResult(
                         "lemma-shapes", False,
@@ -268,7 +275,13 @@ class TermGenerator:
         starts = [o for o in handler.source.category.objects
                   if dom is None or handler.functor.object_map[o] == dom]
         inner = self._gen_op_spine(prim_ctx, depth - 1, handler, starts)
-        return Handle(inner, handler)
+        handle = Handle(inner, handler)
+        try:
+            grade_of_computation(ctx, handle, self.sig)
+        except CateffTypeError as exc:
+            # a default clause need not check at every k a spine demands
+            raise GenerationExhausted(str(exc)) from exc
+        return handle
 
     def _gen_op_spine(self, ctx, depth, handler: HandlerAst, starts):
         """A let-spine of operations from a start object to the handler object."""

@@ -20,7 +20,7 @@ from .terms import (
     App, CompAst, Gunit, Handle, HandlerAst, Inl, Inr, Lam, Let, Match,
     OpCall, Pair, Program, Proj, StarV, Val, ValueAst, Var,
 )
-from .typecheck import clause_for
+from .typecheck import CateffTypeError, MissingClause, clause_for
 
 
 class DenoteError(Exception):
@@ -140,7 +140,13 @@ def denote_handler(h: HandlerAst, names: tuple = (), env: tuple = ()):
                 return denote_computation(names + (h.ret_var,), h.ret_body,
                                           env + (v,), target)
             case Node(op, _, param, k, children):
-                clause = clause_for(h, op, k)
+                try:
+                    clause = clause_for(h, op, k)
+                except MissingClause:
+                    raise
+                except CateffTypeError as exc:
+                    # a default clause first met at this k failed its check
+                    raise DenoteError(str(exc)) from exc
                 decl = h.source[op]
                 index = arity_index.get(op)
                 if index is None:

@@ -29,7 +29,9 @@ from .terms import (
     OpCall, Pair, Program, Proj, Val, ValueAst, Var, free_comp_vars,
     fresh_name, substitute,
 )
-from .typecheck import clause_for, grade_of_computation
+from .typecheck import (
+    CateffTypeError, MissingClause, clause_for, grade_of_computation,
+)
 
 
 class EvalError(Exception):
@@ -210,7 +212,13 @@ def _handle_op(inner: OpAtTop, handler: HandlerAst) -> CompAst:
     sig = handler.source
     decl = sig[inner.op]
     k = continuation_grade(inner.frames, inner.op, sig)
-    clause = clause_for(handler, inner.op, k)
+    try:
+        clause = clause_for(handler, inner.op, k)
+    except MissingClause:
+        raise
+    except CateffTypeError as exc:
+        # a default clause first met at this k failed its check
+        raise Stuck(str(exc)) from exc
     gk = handler.functor.apply(k)
     c = decl.grade.cod
     avoid = {clause.param_var, clause.resume_var} | free_comp_vars(clause.body)

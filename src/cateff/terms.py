@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .grading import GradingCategory, GradingFunctor, Morphism
-from .signature import Arrow, GradedSignature, Prod, Sum, Type, Unit
+from .signature import GradedSignature, Type
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +136,10 @@ class HandlerAst:
     ret_body: CompAst
     clauses: dict  # (op name, Morphism k) -> Clause
     defaults: dict  # op name -> Clause
+    # (op, k) -> (demand, dynamic operations) of each clause instance the
+    # checker has accepted; None -> the return clause's, once the handler's
+    # eager checks have passed
+    checked: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __hash__(self):
         return hash(self.name)
@@ -411,98 +415,3 @@ def pp_bundle(b: TheoryBundle) -> str:
     parts.extend(pp_handler(h) for h in b.handlers.values())
     parts.extend(pp_program(p) for p in b.programs.values())
     return "\n\n".join(parts) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# structural equality across separately parsed bundles
-
-def same_morphism(m1: Morphism, m2: Morphism) -> bool:
-    return (m1.cat.name == m2.cat.name and m1.dom == m2.dom
-            and m1.cod == m2.cod and m1.path == m2.path)
-
-
-def same_type(t1: Type, t2: Type) -> bool:
-    if type(t1) is not type(t2):
-        return False
-    match t1:
-        case Unit():
-            return True
-        case Prod(l, r) | Sum(l, r):
-            return same_type(l, t2.left) and same_type(r, t2.right)
-        case Arrow(a, b, g):
-            return (same_type(a, t2.arg) and same_type(b, t2.res)
-                    and same_morphism(g, t2.grade))
-    return False
-
-
-def same_value(v1: ValueAst, v2: ValueAst) -> bool:
-    if type(v1) is not type(v2):
-        return False
-    match v1:
-        case Var(n):
-            return n == v2.name
-        case StarV():
-            return True
-        case Inl(v, a) | Inr(v, a):
-            return same_value(v, v2.val) and same_type(a, v2.ann)
-        case Pair(l, r):
-            return same_value(l, v2.left) and same_value(r, v2.right)
-        case Lam(g, x, t, b):
-            return (same_morphism(g, v2.grade) and x == v2.var
-                    and same_type(t, v2.var_type) and same_comp(b, v2.body))
-    return False
-
-
-def same_comp(m1: CompAst, m2: CompAst) -> bool:
-    if type(m1) is not type(m2):
-        return False
-    match m1:
-        case Val(o, v):
-            return o == m2.obj and same_value(v, m2.val)
-        case Let(x, b, k):
-            return x == m2.var and same_comp(b, m2.bound) and same_comp(k, m2.body)
-        case App(f, a):
-            return same_value(f, m2.fn) and same_value(a, m2.arg)
-        case OpCall(op, a):
-            return op == m2.op and same_value(a, m2.arg)
-        case Proj(p, x, y, b):
-            return (same_value(p, m2.pair) and (x, y) == (m2.left_var, m2.right_var)
-                    and same_comp(b, m2.body))
-        case Match(s, x, l, y, r):
-            return (same_value(s, m2.scrut) and (x, y) == (m2.left_var, m2.right_var)
-                    and same_comp(l, m2.left) and same_comp(r, m2.right))
-        case Handle(b, h):
-            return same_handler(h, m2.handler) and same_comp(b, m2.body)
-        case Gunit(g, b, h):
-            return (same_morphism(g, m2.pre) and same_comp(b, m2.body)
-                    and same_morphism(h, m2.post))
-    return False
-
-
-def same_handler(h1: HandlerAst, h2: HandlerAst) -> bool:
-    if (h1.name, h1.at_obj, h1.ret_var) != (h2.name, h2.at_obj, h2.ret_var):
-        return False
-    if not (same_type(h1.in_type, h2.in_type) and same_type(h1.out_type, h2.out_type)):
-        return False
-    if not same_comp(h1.ret_body, h2.ret_body):
-        return False
-    def key(item):
-        (op, k), _ = item
-        return op, k.path, k.dom
-    cl1, cl2 = sorted(h1.clauses.items(), key=key), sorted(h2.clauses.items(), key=key)
-    if len(cl1) != len(cl2) or sorted(h1.defaults) != sorted(h2.defaults):
-        return False
-    for ((op1, k1), c1), ((op2, k2), c2) in zip(cl1, cl2):
-        if op1 != op2 or not same_morphism(k1, k2):
-            return False
-        if (c1.param_var, c1.resume_var) != (c2.param_var, c2.resume_var):
-            return False
-        if not same_comp(c1.body, c2.body):
-            return False
-    for op in h1.defaults:
-        c1, c2 = h1.defaults[op], h2.defaults[op]
-        if (c1.param_var, c1.resume_var) != (c2.param_var, c2.resume_var):
-            return False
-        if not same_comp(c1.body, c2.body):
-            return False
-    return True

@@ -1,10 +1,28 @@
-"""Syntax-directed type and grade checking.
+"""Syntax-directed type and grade checking in one pass.
 
 Every computation judgement carries a morphism of the grading category in
 normal form; annotations on lambdas, injections and weakenings make checking
-fully deterministic.  Handler checking validates the return clause and every
-explicit clause eagerly; per-operation default clauses are checked lazily at
-each handle site, once per continuation grade actually demanded there.
+fully deterministic.
+
+Inside a handled computation the same judgement also yields the subterm's
+*demand*: each operation it performs, paired with its continuation grade k,
+the grade from just after the operation to the end of the subterm.  A `let`
+composes the bound's k with the body's grade and a weakening composes it with
+its post-weakening.  A lambda bound by a `let` carries its body's demand to
+every application it heads.  Anywhere else, like any lambda literal that is
+not applied on the spot, it is *dynamic*: every operation written in its body
+may run at a k known only at run time.  A handle site covers its body's
+demand with clause instances and its dynamic operations with default
+clauses; the demand of the handle node itself is that of the covering
+instances and of the return clause.  A clause that goes on after its
+resumption returns, or passes the resumption on, runs the later clauses
+inside its own remainder, so every operation written in the handler's
+clauses is then dynamic.  Outside a handled computation no demand is built.
+
+Handler checking validates the return clause and every explicit clause
+eagerly; a default clause is checked lazily, once per continuation grade
+demanded at a handle site or met at run time.  Each checked clause instance
+is kept on the handler with its demand.
 """
 from __future__ import annotations
 
@@ -18,7 +36,7 @@ from .signature import (
 from .terms import (
     App, Clause, CompAst, Gunit, Handle, HandlerAst, Inl, Inr, Lam, Let,
     Match, OpCall, Pair, Program, Proj, StarV, Val, ValueAst, Var,
-    free_comp_vars,
+    free_comp_vars, free_value_vars,
 )
 
 
@@ -72,6 +90,9 @@ class MissingClause(CateffTypeError):
 
 Ctx = tuple  # of (name, Type), rightmost binding wins
 
+_NONE = frozenset()  # demand and dynamic operations outside handled code
+_RESUME = "<resume>"  # not an operation name; see _check_clause
+
 
 @dataclass(frozen=True)
 class HandlerProfile:
@@ -122,14 +143,44 @@ def type_of_value(ctx: Ctx, v: ValueAst, sig: GradedSignature) -> Type:
             if got != ann.right:
                 raise TypeMismatch(f"inr payload has type {got}, expected {ann.right}")
             return ann
-        case Lam(grade, var, var_type, body):
-            body_type, body_grade = grade_of_computation(
-                ctx + ((var, var_type),), body, sig)
-            if body_grade != grade:
-                raise GradeMismatch(
-                    f"lambda annotated {grade} but body has grade {body_grade}")
-            return Arrow(var_type, body_type, grade)
+        case Lam():
+            return _judge_lambda(ctx, v, sig, None)[0]
     raise CateffTypeError(f"not a value: {v!r}")
+
+
+def _judge_lambda(ctx: Ctx, lam: Lam, sig: GradedSignature, lams):
+    """Arrow type of a lambda, with the demand and dynamic operations of
+    its body (built when ``lams`` is not None)."""
+    body_type, body_grade, demand, dynamic = judge(
+        ctx + ((lam.var, lam.var_type),), lam.body, sig,
+        lams and _shadow(lams, lam.var))
+    if body_grade != lam.grade:
+        raise GradeMismatch(
+            f"lambda annotated {lam.grade} but body has grade {body_grade}")
+    return Arrow(lam.var_type, body_type, body_grade), demand, dynamic
+
+
+def _escaping(v: ValueAst, lams: dict) -> set:
+    """Operations written in the lambdas that ``v`` passes on as data."""
+    match v:
+        case Var(name):
+            return set(lams[name][2]) if name in lams else set()
+        case Lam(_, _, _, body):
+            ops = _ops_syntactically_in(body)
+            for name in free_value_vars(v) & lams.keys():
+                ops |= lams[name][2]
+            return ops
+        case Pair(left, right):
+            return _escaping(left, lams) | _escaping(right, lams)
+        case Inl(val, _) | Inr(val, _):
+            return _escaping(val, lams)
+    return set()
+
+
+def _shadow(lams: dict, *names) -> dict:
+    if any(name in lams for name in names):
+        return {k: v for k, v in lams.items() if k not in names}
+    return lams
 
 
 # ---------------------------------------------------------------------------
@@ -137,152 +188,132 @@ def type_of_value(ctx: Ctx, v: ValueAst, sig: GradedSignature) -> Type:
 
 def grade_of_computation(ctx: Ctx, m: CompAst,
                          sig: GradedSignature) -> tuple[Type, Morphism]:
+    ty, grade, _, _ = judge(ctx, m, sig, None)
+    return ty, grade
+
+
+def judge(ctx: Ctx, m: CompAst, sig: GradedSignature, lams):
+    """Type, grade, demand and dynamic operations of ``m``.
+
+    ``lams`` is None outside a handled computation, and then the demand and
+    dynamic operations come back empty.  Inside one it maps each let-bound
+    lambda in scope, and a clause's resumption, to the demand, dynamic
+    operations and written operations of its body, and every set returned
+    is the caller's to extend.
+    """
     cat = sig.category
     match m:
         case Val(obj, v):
-            return type_of_value(ctx, v, sig), cat.identity(obj)
+            ty = type_of_value(ctx, v, sig)
+            if lams is None:
+                return ty, cat.identity(obj), _NONE, _NONE
+            return ty, cat.identity(obj), set(), _escaping(v, lams)
         case OpCall(op, arg):
             decl = sig[op]
             got = type_of_value(ctx, arg, sig)
             if got != decl.param:
                 raise TypeMismatch(
                     f"operation {op} takes {decl.param}, given {got}")
-            return decl.arity, decl.grade
+            if lams is None:
+                return decl.arity, decl.grade, _NONE, _NONE
+            return (decl.arity, decl.grade,
+                    {(op, cat.identity(decl.grade.cod))}, set())
         case Let(var, bound, body):
-            bound_type, f = grade_of_computation(ctx, bound, sig)
-            body_type, g = grade_of_computation(
-                ctx + ((var, bound_type),), body, sig)
+            if lams is not None and isinstance(bound, Val) \
+                    and isinstance(bound.val, Lam):
+                # binding a lambda performs nothing; its body's demand goes
+                # to the applications it heads
+                lam = bound.val
+                bound_type, lam_demand, lam_dynamic = _judge_lambda(
+                    ctx, lam, sig, lams)
+                f = cat.identity(bound.obj)
+                bound_demand = bound_dynamic = _NONE
+                body_lams = {**lams, var: (lam_demand, lam_dynamic,
+                                           _escaping(lam, lams))}
+            else:
+                bound_type, f, bound_demand, bound_dynamic = judge(
+                    ctx, bound, sig, lams)
+                body_lams = lams and _shadow(lams, var)
+            body_type, g, demand, dynamic = judge(
+                ctx + ((var, bound_type),), body, sig, body_lams)
             if f.cod != g.dom:
                 raise GradeMismatch(
                     f"let: grade {f} ends at {f.cod} but continuation "
                     f"starts at {g.dom}")
-            return body_type, compose(f, g)
+            if lams is not None:
+                demand.update((op, compose(k, g)) for op, k in bound_demand)
+                dynamic |= bound_dynamic
+            return body_type, compose(f, g), demand, dynamic
         case App(fn, arg):
-            fn_type = type_of_value(ctx, fn, sig)
+            if lams is not None and isinstance(fn, Lam):
+                fn_type, demand, dynamic = _judge_lambda(ctx, fn, sig, lams)
+            else:
+                fn_type = type_of_value(ctx, fn, sig)
+                demand = dynamic = _NONE
+                if lams is not None:
+                    # past the literal case, a function is a variable
+                    if isinstance(fn, Var) and fn.name in lams:
+                        demand, dynamic, _ = lams[fn.name]
+                        demand, dynamic = set(demand), set(dynamic)
+                    else:
+                        demand, dynamic = set(), set()
             if not isinstance(fn_type, Arrow):
                 raise TypeMismatch(f"application of non-function of type {fn_type}")
             arg_type = type_of_value(ctx, arg, sig)
             if arg_type != fn_type.arg:
                 raise TypeMismatch(
                     f"argument has type {arg_type}, expected {fn_type.arg}")
-            return fn_type.res, fn_type.grade
+            if lams is not None:
+                dynamic |= _escaping(arg, lams)
+            return fn_type.res, fn_type.grade, demand, dynamic
         case Proj(pair, x, y, body):
             pair_type = type_of_value(ctx, pair, sig)
             if not isinstance(pair_type, Prod):
                 raise TypeMismatch(f"split of non-product of type {pair_type}")
-            return grade_of_computation(
-                ctx + ((x, pair_type.left), (y, pair_type.right)), body, sig)
+            ty, g, demand, dynamic = judge(
+                ctx + ((x, pair_type.left), (y, pair_type.right)), body, sig,
+                lams and _shadow(lams, x, y))
+            if lams is not None:
+                dynamic |= _escaping(pair, lams)
+            return ty, g, demand, dynamic
         case Match(scrut, x, left, y, right):
             scrut_type = type_of_value(ctx, scrut, sig)
             if not isinstance(scrut_type, Sum):
                 raise TypeMismatch(f"case on non-sum of type {scrut_type}")
-            lt, lf = grade_of_computation(ctx + ((x, scrut_type.left),), left, sig)
-            rt, rf = grade_of_computation(ctx + ((y, scrut_type.right),), right, sig)
+            lt, lf, demand, dynamic = judge(
+                ctx + ((x, scrut_type.left),), left, sig,
+                lams and _shadow(lams, x))
+            rt, rf, right_demand, right_dynamic = judge(
+                ctx + ((y, scrut_type.right),), right, sig,
+                lams and _shadow(lams, y))
             if lt != rt:
                 raise TypeMismatch(f"case branches have types {lt} and {rt}")
             if lf != rf:
                 raise GradeMismatch(f"case branches have grades {lf} and {rf}")
-            return lt, lf
+            if lams is not None:
+                demand |= right_demand
+                dynamic |= right_dynamic | _escaping(scrut, lams)
+            return lt, lf, demand, dynamic
         case Gunit(pre, body, post):
             if not cat.is_wide(pre):
                 raise NotInWideSubcategory(f"weakening {pre} is not in R")
             if not cat.is_wide(post):
                 raise NotInWideSubcategory(f"weakening {post} is not in R")
-            body_type, f = grade_of_computation(ctx, body, sig)
+            body_type, f, demand, dynamic = judge(ctx, body, sig, lams)
             if pre.cod != f.dom or f.cod != post.dom:
                 raise GradeMismatch(
                     f"weaken {pre} {{ grade {f} }} {post}: endpoints do not meet")
-            return body_type, compose(compose(pre, f), post)
+            if lams is not None:
+                demand = {(op, compose(k, post)) for op, k in demand}
+            return body_type, compose(compose(pre, f), post), demand, dynamic
         case Handle(body, handler):
-            return check_handle_site(ctx, body, handler, sig)
+            return _judge_handle(ctx, body, handler, sig, lams)
     raise CateffTypeError(f"not a computation: {m!r}")
 
 
-# ---------------------------------------------------------------------------
-# handlers
-
-def check_handler(h: HandlerAst) -> HandlerProfile:
-    cached = getattr(h, "_profile", None)
-    if cached is not None:
-        return cached
-    if getattr(h, "_profile_in_progress", False):
-        # recursive handler reference; clauses are being checked one level up
-        return HandlerProfile(h.functor, h.at_obj, h.in_type, h.out_type)
-    h._profile_in_progress = True
-    try:
-        if not (is_primitive(h.in_type) and is_primitive(h.out_type)):
-            raise NonPrimitiveHandledType(
-                f"handler {h.name}: handled and produced types must be primitive")
-        if h.functor.source is not h.source.category \
-                or h.functor.target is not h.target.category:
-            raise CateffTypeError(
-                f"handler {h.name}: functor does not match the signatures")
-        at_img = h.functor.object_map[h.at_obj]
-        ret_type, ret_grade = grade_of_computation(
-            ((h.ret_var, h.in_type),), h.ret_body, h.target)
-        if ret_type != h.out_type:
-            raise TypeMismatch(
-                f"handler {h.name}: return clause has type {ret_type}, "
-                f"declared {h.out_type}")
-        if not (ret_grade.is_identity and ret_grade.dom == at_img):
-            raise ReturnClauseGradeNotIdentity(
-                f"handler {h.name}: return clause has grade {ret_grade}, "
-                f"expected id({at_img})")
-        for (op, k), clause in h.clauses.items():
-            decl = h.source[op]
-            if k.cod != h.at_obj:
-                raise ClauseGradeMismatch(
-                    f"handler {h.name}: clause for {op} at {k} does not end "
-                    f"at {h.at_obj}")
-            if k.dom != decl.grade.cod:
-                raise ClauseGradeMismatch(
-                    f"handler {h.name}: clause for {op} at {k} does not start "
-                    f"at the codomain {decl.grade.cod} of the operation grade")
-            _check_clause(h, decl, k, clause)
-        profile = HandlerProfile(h.functor, h.at_obj, h.in_type, h.out_type)
-        h._profile = profile
-        return profile
-    finally:
-        h._profile_in_progress = False
-
-
-def _check_clause(h: HandlerAst, decl, k: Morphism, clause: Clause):
-    gk = h.functor.apply(k)
-    resume_type = Arrow(decl.arity, h.out_type, gk)
-    ctx = ((clause.param_var, decl.param), (clause.resume_var, resume_type))
-    body_type, body_grade = grade_of_computation(ctx, clause.body, h.target)
-    if body_type != h.out_type:
-        raise TypeMismatch(
-            f"handler {h.name}: clause for {decl.name} has type {body_type}, "
-            f"declared {h.out_type}")
-    expected = h.functor.apply(compose(decl.grade, k))
-    if body_grade != expected:
-        raise ClauseGradeMismatch(
-            f"handler {h.name}: clause for {decl.name} at k={k} has grade "
-            f"{body_grade}, expected {expected}")
-
-
-def clause_for(h: HandlerAst, op: str, k: Morphism) -> Clause:
-    """Clause selection: explicit clause at this k first, then the default."""
-    clause = h.clauses.get((op, k))
-    if clause is not None:
-        return clause
-    clause = h.defaults.get(op)
-    if clause is None:
-        raise MissingClause(op, k)
-    checked = getattr(h, "_default_ok", None)
-    if checked is None:
-        checked = h._default_ok = set()
-    key = (op, k.dom, k.path)
-    if key not in checked:
-        _check_clause(h, h.source[op], k, clause)
-        checked.add(key)
-    return clause
-
-
-def check_handle_site(ctx: Ctx, body: CompAst, h: HandlerAst,
-                      outer_sig: GradedSignature) -> tuple[Type, Morphism]:
-    profile = check_handler(h)
+def _judge_handle(ctx: Ctx, body: CompAst, h: HandlerAst,
+                  outer_sig: GradedSignature, lams):
+    check_handler(h)
     if h.target is not outer_sig:
         raise CateffTypeError(
             f"handler {h.name} produces {h.target.name} computations, "
@@ -292,7 +323,8 @@ def check_handle_site(ctx: Ctx, body: CompAst, h: HandlerAst,
         if not is_primitive(ty):
             raise NonPrimitiveCapturedVariable(
                 f"handled computation captures {name} of non-primitive type {ty}")
-    body_type, f = grade_of_computation(ctx, body, h.source)
+    # captured variables are primitive, so no let-bound lambda is in scope
+    body_type, f, demanded, dynamic_ops = judge(ctx, body, h.source, {})
     if f.cod != h.at_obj:
         raise ObjectMismatch(
             f"handled computation has grade {f} ending at {f.cod}, "
@@ -301,116 +333,108 @@ def check_handle_site(ctx: Ctx, body: CompAst, h: HandlerAst,
         raise TypeMismatch(
             f"handled computation has type {body_type}, "
             f"handler {h.name} expects {h.in_type}")
-    tail0 = h.source.category.identity(h.at_obj)
-    demanded, dynamic = collect_continuations(ctx, body, tail0, h.source, {}, set())
-    for op, k in sorted(demanded, key=lambda it: (it[0], it[1].dom, it[1].path)):
+    instances = sorted(demanded, key=lambda it: (it[0], it[1].dom, it[1].path))
+    for op, k in instances:
         clause_for(h, op, k)
-    for op in sorted(dynamic):
+    for op in sorted(dynamic_ops):
         if op not in h.defaults:
             raise MissingClause(op, None)
-    return h.out_type, h.functor.apply(f)
+    grade = h.functor.apply(f)
+    if lams is None:
+        return h.out_type, grade, _NONE, _NONE
+    # the handle node performs what its return clause and its covering
+    # clause instances perform, at grades running to the node's end
+    demand, dynamic = set(), set()
+    for key in (None, *instances):
+        clause_demand, clause_dynamic = h.checked[key]
+        demand |= clause_demand
+        dynamic |= clause_dynamic
+    for op in dynamic_ops:
+        dynamic |= _ops_syntactically_in(h.defaults[op].body)
+    return h.out_type, grade, demand, dynamic
 
 
 # ---------------------------------------------------------------------------
-# static continuation grades
-#
-# For each occurrence of an operation inside a handled computation, the
-# continuation grade is the grade of the evaluation context that will
-# surround it at handling time.  Spine positions (lets, branches, directly
-# applied lambdas, lambdas let-bound to a variable) yield exact grades;
-# operations hiding inside values that flow in less obvious ways are
-# reported as "dynamic" and require a default clause.
+# handlers
 
-def collect_continuations(ctx, m, tail, sig, lam_env, seen_handlers):
-    demanded: set = set()
-    dynamic: set = set()
+def check_handler(h: HandlerAst) -> HandlerProfile:
+    profile = HandlerProfile(h.functor, h.at_obj, h.in_type, h.out_type)
+    if None in h.checked:
+        return profile
+    if not (is_primitive(h.in_type) and is_primitive(h.out_type)):
+        raise NonPrimitiveHandledType(
+            f"handler {h.name}: handled and produced types must be primitive")
+    if h.functor.source is not h.source.category \
+            or h.functor.target is not h.target.category:
+        raise CateffTypeError(
+            f"handler {h.name}: functor does not match the signatures")
+    at_img = h.functor.object_map[h.at_obj]
+    ret_type, ret_grade, ret_demand, ret_dynamic = judge(
+        ((h.ret_var, h.in_type),), h.ret_body, h.target, {})
+    if ret_type != h.out_type:
+        raise TypeMismatch(
+            f"handler {h.name}: return clause has type {ret_type}, "
+            f"declared {h.out_type}")
+    if not (ret_grade.is_identity and ret_grade.dom == at_img):
+        raise ReturnClauseGradeNotIdentity(
+            f"handler {h.name}: return clause has grade {ret_grade}, "
+            f"expected id({at_img})")
+    for (op, k), clause in h.clauses.items():
+        decl = h.source[op]
+        if k.cod != h.at_obj:
+            raise ClauseGradeMismatch(
+                f"handler {h.name}: clause for {op} at {k} does not end "
+                f"at {h.at_obj}")
+        if k.dom != decl.grade.cod:
+            raise ClauseGradeMismatch(
+                f"handler {h.name}: clause for {op} at {k} does not start "
+                f"at the codomain {decl.grade.cod} of the operation grade")
+        _check_clause(h, op, k, clause)
+    h.checked[None] = (ret_demand, ret_dynamic)
+    return profile
 
-    def scan_value(v):
-        match v:
-            case Lam(_, _, _, body):
-                dynamic.update(_ops_syntactically_in(body))
-            case Pair(left, right):
-                scan_value(left)
-                scan_value(right)
-            case Inl(val, _) | Inr(val, _):
-                scan_value(val)
-            case _:
-                pass
 
-    def go(ctx, m, tail, lam_env):
-        match m:
-            case Val(_, v):
-                scan_value(v)
-            case OpCall(op, _):
-                demanded.add((op, tail))
-            case Let(var, bound, body):
-                bound_type, _ = grade_of_computation(ctx, bound, sig)
-                inner_ctx = ctx + ((var, bound_type),)
-                _, g = grade_of_computation(inner_ctx, body, sig)
-                lam_env2 = {k: v for k, v in lam_env.items() if k != var}
-                if isinstance(bound, Val) and isinstance(bound.val, Lam):
-                    # remember the definition-site scope for the body's sites
-                    lam_env2[var] = (bound.val, ctx, dict(lam_env2))
-                    go(inner_ctx, body, tail, lam_env2)
-                else:
-                    go(ctx, bound, compose(g, tail), lam_env)
-                    go(inner_ctx, body, tail, lam_env2)
-            case App(fn, arg):
-                scan_value(arg)
-                if isinstance(fn, Lam):
-                    go(ctx + ((fn.var, fn.var_type),), fn.body, tail, lam_env)
-                elif isinstance(fn, Var) and fn.name in lam_env:
-                    lam, def_ctx, def_env = lam_env[fn.name]
-                    go(def_ctx + ((lam.var, lam.var_type),), lam.body, tail,
-                       def_env)
-                else:
-                    scan_value(fn)
-            case Proj(pair, x, y, body):
-                scan_value(pair)
-                pair_type = type_of_value(ctx, pair, sig)
-                lam_env2 = {k: v for k, v in lam_env.items() if k not in (x, y)}
-                go(ctx + ((x, pair_type.left), (y, pair_type.right)), body,
-                   tail, lam_env2)
-            case Match(scrut, x, left, y, right):
-                scan_value(scrut)
-                scrut_type = type_of_value(ctx, scrut, sig)
-                go(ctx + ((x, scrut_type.left),), left, tail,
-                   {k: v for k, v in lam_env.items() if k != x})
-                go(ctx + ((y, scrut_type.right),), right, tail,
-                   {k: v for k, v in lam_env.items() if k != y})
-            case Gunit(_, body, post):
-                go(ctx, body, compose(post, tail), lam_env)
-            case Handle(inner, h2):
-                if id(h2) in seen_handlers:
-                    return
-                # operations performed by the handle node itself come from
-                # the clause bodies of h2, which live in our signature
-                inner_tail = h2.source.category.identity(h2.at_obj)
-                inner_demanded, inner_dynamic = collect_continuations(
-                    ctx, inner, inner_tail, h2.source, {},
-                    seen_handlers | {id(h2)})
-                go(((h2.ret_var, h2.in_type),), h2.ret_body, tail, {})
-                for op2, k2 in inner_demanded:
-                    clause = h2.clauses.get((op2, k2)) or h2.defaults.get(op2)
-                    if clause is None:
-                        continue  # the handle site's own check reports this
-                    _collect_clause(clause, h2, op2, k2, tail)
-                for op2 in inner_dynamic:
-                    clause = h2.defaults.get(op2)
-                    if clause is not None:
-                        dynamic.update(_ops_syntactically_in(clause.body))
-            case _:
-                raise CateffTypeError(f"not a computation: {m!r}")
+def _check_clause(h: HandlerAst, op: str, k: Morphism, clause: Clause):
+    decl = h.source[op]
+    gk = h.functor.apply(k)
+    resume_type = Arrow(decl.arity, h.out_type, gk)
+    ctx = ((clause.param_var, decl.param), (clause.resume_var, resume_type))
+    # the resumption is tracked like a let-bound lambda performing _RESUME
+    # where it returns, so the demand records the grade left after each call
+    resume = ({(_RESUME, h.target.category.identity(gk.cod))}, _NONE,
+              {_RESUME})
+    body_type, body_grade, demand, dynamic = judge(
+        ctx, clause.body, h.target, {clause.resume_var: resume})
+    if body_type != h.out_type:
+        raise TypeMismatch(
+            f"handler {h.name}: clause for {decl.name} has type {body_type}, "
+            f"declared {h.out_type}")
+    expected = h.functor.apply(compose(decl.grade, k))
+    if body_grade != expected:
+        raise ClauseGradeMismatch(
+            f"handler {h.name}: clause for {decl.name} at k={k} has grade "
+            f"{body_grade}, expected {expected}")
+    after = {g for name, g in demand if name == _RESUME}
+    demand -= {(_RESUME, g) for g in after}
+    escaped = _RESUME in dynamic
+    dynamic.discard(_RESUME)
+    if escaped or not all(g.is_identity for g in after):
+        # the rest of the handled computation runs inside this clause, so
+        # the operations of later clauses run at grades that this clause's
+        # remainder extends by an amount known only at run time
+        for body in _clause_bodies(h):
+            dynamic |= _ops_syntactically_in(body)
+    h.checked[(op, k)] = (demand, dynamic)
 
-    def _collect_clause(clause, h2, op2, k2, tail):
-        decl = h2.source[op2]
-        gk = h2.functor.apply(k2)
-        clause_ctx = ((clause.param_var, decl.param),
-                      (clause.resume_var, Arrow(decl.arity, h2.out_type, gk)))
-        go(clause_ctx, clause.body, tail, {})
 
-    go(ctx, m, tail, dict(lam_env))
-    return demanded, dynamic
+def clause_for(h: HandlerAst, op: str, k: Morphism) -> Clause:
+    """Clause selection: explicit clause at this k first, then the default."""
+    clause = h.clauses.get((op, k)) or h.defaults.get(op)
+    if clause is None:
+        raise MissingClause(op, k)
+    if (op, k) not in h.checked:
+        _check_clause(h, op, k, clause)
+    return clause
 
 
 def _ops_syntactically_in(m: CompAst) -> set:
@@ -456,13 +480,15 @@ def _ops_syntactically_in(m: CompAst) -> set:
             case Handle(_, h2):
                 # inner computation is over another signature; its clause
                 # bodies are over ours
-                go(h2.ret_body)
-                for cl in h2.clauses.values():
-                    go(cl.body)
-                for cl in h2.defaults.values():
-                    go(cl.body)
+                for body in _clause_bodies(h2):
+                    go(body)
     go(m)
     return out
+
+
+def _clause_bodies(h: HandlerAst) -> tuple:
+    return (h.ret_body, *(cl.body for cl in h.clauses.values()),
+            *(cl.body for cl in h.defaults.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -118,3 +118,45 @@ def test_conform_detects_violations_with_exit_three(tmp_path, capsys):
     assert main(monkey_steps) == 3
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+# the default clause is well graded at k = e, but the lambda hidden in the
+# pair performs act at k = id(z), where the clause is first checked at run time
+LATE_CLAUSE = """
+category C { objects z; gen p : z -> z; gen e : z -> z; rule p.e = e; }
+functor Id : C -> C { obj z => z; gen p => p; gen e => e; }
+signature S over C { op act : 1 ~> 1 @ p; }
+handler h over S to S via Id at z : 1 => 1 {
+  return x => val z x;
+  op act(q), r => r ();
+}
+program late over S : 1 @ p {
+  handle (split ((fun^p (u : 1) => do act(u)), ()) as (f, w) in f ()) with h
+}
+"""
+
+
+@pytest.fixture
+def late_clause(tmp_path):
+    path = tmp_path / "late.ceff"
+    path.write_text(LATE_CLAUSE)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["run", "denote"])
+def test_clause_failing_at_run_time_is_an_error_line(command, late_clause,
+                                                     capsys):
+    assert main(["check", late_clause]) == 0
+    assert "⊢_{p} late : 1" in capsys.readouterr().out
+    assert main([command, late_clause]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("late: error: handler h: clause for act at k=id(z)")
+    assert "Traceback" not in err
+
+
+def test_conform_fails_on_a_clause_failing_at_run_time(late_clause, capsys):
+    assert main(["conform", "--count", "20", late_clause]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL soundness[late]: handler h: clause for act" in out
+    assert "FAIL lemma-shapes[late]: preservation broken: handler h" in out
+    assert "PASS generated[S]" in out

@@ -7,9 +7,10 @@ from cateff.conformance import (
     run_conformance, verify_adequacy, verify_lemma_shapes,
     verify_soundness_along_trace,
 )
+from cateff.parser import parse_bundle
 from cateff.signature import UNIT, is_primitive
 from cateff.terms import Handle, Let, OpCall, StarV, Val, pp_comp
-from cateff.typecheck import grade_of_computation
+from cateff.typecheck import check_bundle, grade_of_computation
 
 
 def test_generation_is_deterministic_in_the_seed(session_bundle):
@@ -90,6 +91,32 @@ def test_adequacy_rejects_wrong_shape(session_bundle):
     sig = session_bundle.signatures["SessionSig"]
     term = OpCall("sendint", StarV())  # grade send_int, not an identity
     assert not verify_adequacy(term, sig).passed
+
+
+def test_adequacy_fails_on_a_clause_failing_at_run_time():
+    # act hides in a pair, so its default clause is first checked when the
+    # fold meets act at k = q, where the clause is ill graded
+    bundle = parse_bundle("""
+    category C { objects z; gen p : z -> z; gen q : z -> z;
+                 rule p.q = id(z); rule q.p = id(z); }
+    functor Id : C -> C { obj z => z; gen p => p; gen q => q; }
+    signature S over C { op act : 1 ~> 1 @ p; op back : 1 ~> 1 @ q; }
+    handler h over S to S via Id at z : 1 => 1 {
+      return x => val z x;
+      op back(v), r @ id(z) => let y <- do back(()) in r ();
+      op act(v), r => r ();
+    }
+    program balanced over S : 1 @ id(z) {
+      handle (let x <- split ((fun^p (u : 1) => do act(u)), ()) as (f, w) in
+        f () in do back(())) with h
+    }
+    """)
+    check_bundle(bundle)
+    prog = bundle.programs["balanced"]
+    res = verify_adequacy(prog.body, prog.signature)
+    assert not res.passed
+    assert res.detail == ("handler h: clause for act at k=q has grade q, "
+                          "expected id(z)")
 
 
 def test_unit_program_generator_meets_the_adequacy_preconditions(session_bundle):

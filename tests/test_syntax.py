@@ -5,8 +5,7 @@ import pytest
 from cateff.parser import CeffSyntaxError, UnboundName, parse_bundle
 from cateff.terms import (
     App, Inl, Lam, Let, Match, OpCall, Pair, Proj, StarV, Val, Var,
-    free_comp_vars, pp_bundle, pp_comp, pp_value, same_comp, same_handler,
-    substitute, substitute_value,
+    free_comp_vars, pp_bundle, pp_comp, pp_value, substitute, substitute_value,
 )
 from conftest import theory_text
 
@@ -123,9 +122,10 @@ def test_parse_after_pretty_print_is_identity(theory):
     assert set(reparsed.programs) == set(bundle.programs)
     for name, prog in bundle.programs.items():
         again = reparsed.programs[name]
-        assert same_comp(prog.body, again.body), name
+        # Morphism reprs omit the category, so reprs compare across bundles
+        assert repr(prog.body) == repr(again.body), name
     for name, handler in bundle.handlers.items():
-        assert same_handler(handler, reparsed.handlers[name]), name
+        assert repr(handler) == repr(reparsed.handlers[name]), name
     for name, cat in bundle.categories.items():
         cat2 = reparsed.categories[name]
         assert cat.objects == cat2.objects

@@ -1,7 +1,13 @@
+import importlib
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+from cateff import typecheck
 from cateff.conformance import TermGenerator
-from cateff.eval import HandleFrame, RedexAt, decompose, rebuild
+from cateff.eval import HandleFrame, RedexAt, decompose, rebuild, run_program
 from cateff.grading import compose
 from cateff.parser import parse_bundle
 from cateff.signature import Arrow, Prod, Sum, UNIT
@@ -217,6 +223,139 @@ def test_let_bound_lambda_continuations_are_collected():
     """
     bundle = parse_bundle(src)
     assert str(check_program(bundle.programs["lam_site"]).grade) == "id(w)"
+
+
+def test_let_bound_lambda_escaping_through_a_variable_is_dynamic():
+    # f is passed to g as data, so act inside f runs at a k only the run
+    # knows (here p); only a default clause could cover it
+    src = """
+    category C { objects z; gen p : z -> z; }
+    category D { objects w; }
+    functor F : C -> D { obj z => w; gen p => id; }
+    signature S over C { op act : 1 ~> 1 @ p; }
+    signature T over D { }
+    handler last_only over S to T via F at z : 1 => 1 {
+      return x => val w x;
+      op act(q), r @ id(z) => r ();
+    }
+    program escape over T : 1 @ id(w) {
+      handle (
+        let f <- val z (fun^p (u : 1) => do act(())) in
+        let g <- val z (fun^p (h : 1 -> 1 @ p) => h ()) in
+        let a <- g f in
+        let b <- do act(()) in
+        val z ()
+      ) with last_only
+    }
+    """
+    with pytest.raises(MissingClause) as exc:
+        check_bundle(parse_bundle(src))
+    assert (exc.value.op, exc.value.k) == ("act", None)
+
+
+SELF_NESTING = """
+category C { objects z; gen p : z -> z; }
+functor Id : C -> C { obj z => z; gen p => p; }
+signature S over C { op act : 1 ~> 1 @ p; }
+handler h over S to S via Id at z : 1 => 1 {
+  return x => val z x;
+  %s
+}
+"""
+
+
+def test_handler_nested_inside_itself_demands_each_depth():
+    # each handle node performs act from its clauses, so the outermost
+    # site sees act at p;p;p
+    clauses = "\n".join(
+        f"op act(q), r @ {k} => let u <- do act(()) in r ();"
+        for k in ("id(z)", "p", "p.p"))
+    src = SELF_NESTING % clauses + """
+    program nested over S : 1 @ p.p.p.p {
+      handle (let b <- handle (let c <- handle (let a <- do act(()) in
+        do act(())) with h in do act(())) with h in do act(())) with h
+    }
+    """
+    with pytest.raises(MissingClause) as exc:
+        check_bundle(parse_bundle(src))
+    assert exc.value.op == "act"
+    assert str(exc.value.k) == "p;p;p"
+
+
+@pytest.mark.parametrize("outer_clause,checks", [
+    ("op act(q), r @ id(z) => r ();", False),
+    ("op act(q), r => r ();", True),
+], ids=["explicit", "default"])
+def test_operations_after_a_resumption_are_dynamic(outer_clause, checks):
+    # each clause of h performs act after its resumption returns, so the
+    # act of the second clause runs at p from the end of the h node, not at
+    # the id(z) its clause body shows
+    src = """
+    category C { objects z; gen p : z -> z; }
+    category D { objects w; }
+    functor Id : C -> C { obj z => z; gen p => p; }
+    functor F : C -> D { obj z => w; gen p => id; }
+    signature S over C { op act : 1 ~> 1 @ p; }
+    signature T over D { }
+    handler h over S to S via Id at z : 1 => 1 {
+      return x => val z x;
+      op act(q), r => let x <- r () in do act(());
+    }
+    handler o over S to T via F at z : 1 => 1 {
+      return x => val w x;
+      %s
+    }
+    program after over T : 1 @ id(w) {
+      handle (handle (let a <- do act(()) in do act(())) with h) with o
+    }
+    """ % outer_clause
+    bundle = parse_bundle(src)
+    if checks:
+        check_bundle(bundle)
+        assert run_program(bundle.programs["after"]).result_value == StarV()
+    else:
+        with pytest.raises(MissingClause) as exc:
+            check_bundle(bundle)
+        assert (exc.value.op, exc.value.k) == ("act", None)
+
+
+def test_judgement_calls_grow_linearly_on_a_handled_chain(monkeypatch):
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parent.parent / "perfbench")
+    gen = importlib.import_module("gen")
+    calls = [0]
+    judge = typecheck.judge
+
+    def counting(*args):
+        calls[0] += 1
+        return judge(*args)
+
+    monkeypatch.setattr(typecheck, "judge", counting)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))  # the 384-long chain is deep
+    try:
+        counts = {}
+        for n in (192, 384):
+            bundle = parse_bundle(gen.chain_case(1, 0, n).text)
+            calls[0] = 0
+            check_bundle(bundle)
+            counts[n] = calls[0]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert counts[384] <= 2.5 * counts[192], counts
+
+
+def test_deeply_nested_handles_check_quickly():
+    body = "do act(())"
+    for _ in range(16):
+        body = (f"let a <- do act(()) in "
+                f"let b <- handle ({body}) with h in do act(())")
+    src = SELF_NESTING % "op act(q), r => let u <- do act(()) in r ();" \
+        + f"program deep over S : 1 @ {'.'.join(['p'] * 33)} {{ {body} }}"
+    bundle = parse_bundle(src)
+    start = time.perf_counter()
+    judgements = check_bundle(bundle)
+    assert time.perf_counter() - start < 2.0
+    assert str(judgements["deep"].grade) == ";".join(["p"] * 33)
 
 
 def test_weakening_outside_wide_subcategory_rejected(widened_bundle):
