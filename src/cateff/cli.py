@@ -156,7 +156,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_conform)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecursionError:
+        print(f"error: {args.file}: program nests too deeply for cateff",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

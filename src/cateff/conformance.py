@@ -318,18 +318,16 @@ class TermGenerator:
 
 
 def generate_wellgraded_terms(sig: GradedSignature, seed: int, count: int,
-                              depth: int, handler_pool=(),
-                              pure_only=False) -> list:
-    gen = TermGenerator(sig, seed, handler_pool, pure_only=pure_only)
+                              depth: int, handler_pool=()) -> list:
+    gen = TermGenerator(sig, seed, handler_pool)
     return [gen.gen_program(depth) for _ in range(count)]
 
 
 def generate_unit_programs(sig: GradedSignature, seed: int, count: int,
-                           depth: int, with_identity_ops=True) -> list:
+                           depth: int) -> list:
     """Closed programs of type 1 at an identity grade, for the adequacy suite."""
     gen = TermGenerator(sig, seed, (), pure_only=True)
-    id_ops = [op for op in sig.ops.values() if op.grade.is_identity] \
-        if with_identity_ops else []
+    id_ops = [op for op in sig.ops.values() if op.grade.is_identity]
     out = []
     for i in range(count):
         obj = gen.rng.choice(sig.category.objects)

@@ -11,6 +11,11 @@ the clause for the continuation grade of the operation, obtained by
 re-checking the continuation with a fresh variable plugged into the hole;
 the typechecker is the single source of truth for grading.
 
+Every configuration is closed, so every value a rule substitutes is closed
+and substitution never renames a binder.  In a closed configuration a let
+frame's body mentions only its own binder, so a name that avoids the let
+binders of the frames is fresh for the whole context.
+
 Grade weakenings are transparent lift frames: evaluation proceeds inside
 them and they are preserved in the configuration.  They carry no reduction
 rule of their own, so a weakened value cannot feed a let or a handler; such
@@ -18,7 +23,7 @@ programs are reported as blocked rather than stepped unsoundly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Iterator, Optional
 
@@ -26,8 +31,7 @@ from .grading import Morphism
 from .signature import GradedSignature
 from .terms import (
     App, CompAst, Gunit, Handle, HandlerAst, Inl, Inr, Lam, Let, Match,
-    OpCall, Pair, Program, Proj, Val, ValueAst, Var, free_comp_vars,
-    fresh_name, substitute,
+    OpCall, Pair, Program, Proj, Val, ValueAst, Var, fresh_name, substitute,
 )
 from .typecheck import (
     CateffTypeError, MissingClause, clause_for, grade_of_computation,
@@ -164,11 +168,7 @@ def _rule_name(m: CompAst) -> str:
 
 
 def _frame_names(frames) -> set:
-    avoid = set()
-    for frame in frames:
-        if isinstance(frame, LetFrame):
-            avoid |= free_comp_vars(frame.body) | {frame.var}
-    return avoid
+    return {frame.var for frame in frames if isinstance(frame, LetFrame)}
 
 
 def continuation_grade(frames, op: str, sig: GradedSignature) -> Morphism:
@@ -221,8 +221,8 @@ def _handle_op(inner: OpAtTop, handler: HandlerAst) -> CompAst:
         raise Stuck(str(exc)) from exc
     gk = handler.functor.apply(k)
     c = decl.grade.cod
-    avoid = {clause.param_var, clause.resume_var} | free_comp_vars(clause.body)
-    avoid |= _frame_names(inner.frames)
+    # a checked clause body mentions only its parameter and resumption
+    avoid = {clause.param_var, clause.resume_var} | _frame_names(inner.frames)
     y = fresh_name("y", avoid)
     resumed = rebuild(inner.frames, Val(c, Var(y)))
     resume = Lam(gk, y, decl.arity, Handle(resumed, handler))
@@ -265,7 +265,6 @@ def steps(m: CompAst, sig: GradedSignature,
 class Trace:
     configs: list
     final: Decomposition
-    sig: GradedSignature = field(repr=False)
 
     @property
     def steps(self) -> int:
@@ -281,7 +280,7 @@ def run(m: CompAst, sig: GradedSignature, max_steps: int = 100_000) -> Trace:
     configs = []
     for config, d in steps(m, sig, max_steps):
         configs.append(config)
-    return Trace(configs, d, sig)
+    return Trace(configs, d)
 
 
 def run_program(prog: Program, max_steps: int = 100_000) -> Trace:

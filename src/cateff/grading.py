@@ -10,6 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+STEP_CAP = 10_000  # rewrite steps before normalization is deemed divergent
+CONFLUENCE_LEN = 4  # longest path whose local confluence is checked at load
+
 
 class GradingError(Exception):
     """Base class for grading category construction/use errors."""
@@ -60,8 +63,7 @@ class GradingCategory:
     categories (their morphisms do not mix).
     """
 
-    def __init__(self, name, objects, generators, rules=(), wide=(),
-                 step_cap=10_000, confluence_len=4):
+    def __init__(self, name, objects, generators, rules=(), wide=()):
         self.name = name
         self.objects = tuple(objects)
         self.generators = {}
@@ -81,13 +83,12 @@ class GradingCategory:
         for w in self.wide:
             if w not in self.generators:
                 raise UnknownGenerator(f"wide marking on unknown generator {w!r}")
-        self.step_cap = step_cap
         self._norm_cache: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self._validate(confluence_len)
+        self._validate()
 
     # -- construction-time validation ------------------------------------
 
-    def _validate(self, confluence_len):
+    def _validate(self):
         for rule in self.rules:
             if not rule.lhs:
                 raise GradingError("rewrite rule with empty left-hand side")
@@ -107,8 +108,8 @@ class GradingCategory:
         # termination probe on all composable generator pairs and triples
         for path in self._composable_paths(3):
             self.normalize(path)
-        # local confluence on composable paths up to the configured length
-        for path in self._composable_paths(confluence_len):
+        # local confluence on composable paths up to CONFLUENCE_LEN
+        for path in self._composable_paths(CONFLUENCE_LEN):
             reducts = self._one_step_reducts(path)
             if len(reducts) <= 1:
                 continue
@@ -165,7 +166,7 @@ class GradingCategory:
         if cached is not None:
             return cached
         current = path
-        for _ in range(self.step_cap):
+        for _ in range(STEP_CAP):
             for pos in range(len(current)):
                 hit = None
                 for rule in self.rules:
@@ -180,7 +181,7 @@ class GradingCategory:
                 return current
             current = hit
         raise NonTerminatingRules(
-            f"rewriting of {'.'.join(path)} exceeded {self.step_cap} steps")
+            f"rewriting of {'.'.join(path)} exceeded {STEP_CAP} steps")
 
     def identity(self, obj):
         if obj not in self.objects:
@@ -316,10 +317,9 @@ class GradingFunctor:
         return f"GradingFunctor({self.name!r})"
 
 
-def build_category(name, objects, generators, rules=(), wide=(),
-                   step_cap=10_000, confluence_len=4) -> GradingCategory:
-    return GradingCategory(name, objects, generators, rules, wide,
-                           step_cap, confluence_len)
+def build_category(name, objects, generators, rules=(),
+                   wide=()) -> GradingCategory:
+    return GradingCategory(name, objects, generators, rules, wide)
 
 
 def pair_name(a, b):
@@ -350,4 +350,4 @@ def pair_completion(cat: GradingCategory, name=None) -> GradingCategory:
             rules.append(RewriteRule((gen.name, pair_name(gen.cod, x)),
                                      (pair_name(gen.dom, x),)))
     return GradingCategory(name or f"{cat.name}^pair", cat.objects, gens,
-                           rules, cat.wide, cat.step_cap)
+                           rules, cat.wide)

@@ -4,6 +4,8 @@ Grade and type annotations are stored fully resolved (morphisms in normal
 form), so syntactic equality of terms agrees with equality of judgements.
 Handlers are declared at top level and are closed; substitution therefore
 descends into handled computations but never into handler clauses.
+Substitution is of closed values only, as the step engine runs closed
+configurations, so it never renames a binder.
 """
 from __future__ import annotations
 
@@ -208,7 +210,7 @@ def free_comp_vars(m: CompAst) -> set:
 def fresh_name(base: str, avoid) -> str:
     """``base`` if it is not in ``avoid``, else the smallest free ``base<n>``.
 
-    Deterministic, so that substitutions and traces are reproducible.
+    Deterministic, so that traces are reproducible.
     """
     if base not in avoid:
         return base
@@ -218,16 +220,11 @@ def fresh_name(base: str, avoid) -> str:
     return f"{base}{n}"
 
 
-def _subst_under_binder(var, body, subs, subst_fn):
-    subs = {x: v for x, v in subs.items() if x != var}
-    if not subs:
-        return var, body
-    captured = set().union(*(free_value_vars(v) for v in subs.values()))
-    if var in captured:
-        fresh = fresh_name(var, captured | free_comp_vars(body) | set(subs))
-        body = subst_fn(body, {var: Var(fresh)})
-        var = fresh
-    return var, subst_fn(body, subs)
+def _unshadowed(subs: dict, *binders) -> dict:
+    """``subs`` without the names that ``binders`` rebind."""
+    if any(name in subs for name in binders):
+        return {x: v for x, v in subs.items() if x not in binders}
+    return subs
 
 
 def substitute_value(v: ValueAst, subs: dict) -> ValueAst:
@@ -245,44 +242,40 @@ def substitute_value(v: ValueAst, subs: dict) -> ValueAst:
         case Pair(left, right):
             return Pair(substitute_value(left, subs), substitute_value(right, subs))
         case Lam(grade, var, var_type, body):
-            var, body = _subst_under_binder(var, body, subs, substitute)
-            return Lam(grade, var, var_type, body)
+            return Lam(grade, var, var_type,
+                       substitute(body, _unshadowed(subs, var)))
     raise TypeError(f"not a value: {v!r}")
 
 
 def substitute(m: CompAst, subs: dict) -> CompAst:
-    """Simultaneous capture-avoiding substitution of values for variables."""
+    """Simultaneous substitution of closed values for variables.
+
+    The values must be closed: no binder is renamed, so a free variable of
+    a substituted value would be captured.  The step engine only substitutes
+    closed values, because it runs closed configurations and reaches its
+    redexes through let-bound positions, the bodies of weakenings and
+    handled computations, never under a binder; a resumption
+    ``fun y => handle E[val y] with H`` is closed as the configuration is.
+    """
     if not subs:
         return m
     match m:
         case Val(obj, v):
             return Val(obj, substitute_value(v, subs))
         case Let(var, bound, body):
-            bound = substitute(bound, subs)
-            var, body = _subst_under_binder(var, body, subs, substitute)
-            return Let(var, bound, body)
+            return Let(var, substitute(bound, subs),
+                       substitute(body, _unshadowed(subs, var)))
         case App(fn, arg):
             return App(substitute_value(fn, subs), substitute_value(arg, subs))
         case OpCall(op, arg):
             return OpCall(op, substitute_value(arg, subs))
         case Proj(pair, x, y, body):
-            pair = substitute_value(pair, subs)
-            inner = {k: v for k, v in subs.items() if k not in (x, y)}
-            if inner:
-                captured = set().union(*(free_value_vars(v) for v in inner.values()))
-                if x in captured or y in captured:
-                    avoid = captured | free_comp_vars(body) | set(inner) | {x, y}
-                    nx = fresh_name(x, avoid)
-                    ny = fresh_name(y, avoid | {nx})
-                    body = substitute(body, {x: Var(nx), y: Var(ny)})
-                    x, y = nx, ny
-                body = substitute(body, inner)
-            return Proj(pair, x, y, body)
+            return Proj(substitute_value(pair, subs), x, y,
+                        substitute(body, _unshadowed(subs, x, y)))
         case Match(scrut, x, left, y, right):
-            scrut = substitute_value(scrut, subs)
-            x, left = _subst_under_binder(x, left, subs, substitute)
-            y, right = _subst_under_binder(y, right, subs, substitute)
-            return Match(scrut, x, left, y, right)
+            return Match(substitute_value(scrut, subs),
+                         x, substitute(left, _unshadowed(subs, x)),
+                         y, substitute(right, _unshadowed(subs, y)))
         case Handle(body, handler):
             return Handle(substitute(body, subs), handler)
         case Gunit(pre, body, post):

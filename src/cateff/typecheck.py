@@ -19,17 +19,17 @@ resumption returns, or passes the resumption on, runs the later clauses
 inside its own remainder, so every operation written in the handler's
 clauses is then dynamic.  Outside a handled computation no demand is built.
 
-Handler checking validates the return clause and every explicit clause
-eagerly; a default clause is checked lazily, once per continuation grade
-demanded at a handle site or met at run time.  Each checked clause instance
-is kept on the handler with its demand.
+Handler checking validates the return clause, every explicit clause and the
+scope of every default clause eagerly, since scope does not depend on k; the
+types and grades of a default clause are checked lazily, once per
+continuation grade demanded at a handle site or met at run time.  Each
+checked clause instance is kept on the handler with its demand.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .grading import GradingFunctor, Morphism, compose
+from .grading import Morphism, compose
 from .signature import (
     Arrow, GradedSignature, Prod, Sum, Type, Unit, is_primitive,
 )
@@ -94,20 +94,10 @@ _NONE = frozenset()  # demand and dynamic operations outside handled code
 _RESUME = "<resume>"  # not an operation name; see _check_clause
 
 
-@dataclass(frozen=True)
-class HandlerProfile:
-    functor: GradingFunctor
-    at_obj: str
-    in_type: Type
-    out_type: Type
-
-
 @dataclass
 class Judgement:
-    context: Ctx
-    subject: object
     result_type: Type
-    grade: Optional[Morphism] = None
+    grade: Morphism
 
 
 def lookup(ctx: Ctx, name: str) -> Type:
@@ -357,10 +347,9 @@ def _judge_handle(ctx: Ctx, body: CompAst, h: HandlerAst,
 # ---------------------------------------------------------------------------
 # handlers
 
-def check_handler(h: HandlerAst) -> HandlerProfile:
-    profile = HandlerProfile(h.functor, h.at_obj, h.in_type, h.out_type)
+def check_handler(h: HandlerAst) -> HandlerAst:
     if None in h.checked:
-        return profile
+        return h
     if not (is_primitive(h.in_type) and is_primitive(h.out_type)):
         raise NonPrimitiveHandledType(
             f"handler {h.name}: handled and produced types must be primitive")
@@ -390,8 +379,15 @@ def check_handler(h: HandlerAst) -> HandlerProfile:
                 f"handler {h.name}: clause for {op} at {k} does not start "
                 f"at the codomain {decl.grade.cod} of the operation grade")
         _check_clause(h, op, k, clause)
+    for op, clause in h.defaults.items():
+        unbound = free_comp_vars(clause.body) \
+            - {clause.param_var, clause.resume_var}
+        if unbound:
+            raise UnboundVariable(
+                f"handler {h.name}: unbound variable {min(unbound)!r} "
+                f"in the default clause for {op}")
     h.checked[None] = (ret_demand, ret_dynamic)
-    return profile
+    return h
 
 
 def _check_clause(h: HandlerAst, op: str, k: Morphism, clause: Clause):
@@ -503,7 +499,7 @@ def check_program(prog: Program) -> Judgement:
         raise GradeMismatch(
             f"program {prog.name}: body has grade {grade}, "
             f"declared {prog.ann_grade}")
-    return Judgement((), prog, ty, grade)
+    return Judgement(ty, grade)
 
 
 def check_bundle(bundle) -> dict[str, Judgement]:

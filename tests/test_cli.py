@@ -24,6 +24,43 @@ def test_check_fails_on_grade_error(tmp_path, capsys):
     assert "grade" in capsys.readouterr().err.lower()
 
 
+def test_check_rejects_a_default_clause_with_an_unbound_variable(tmp_path,
+                                                                capsys):
+    bad = tmp_path / "unbound.ceff"
+    bad.write_text("""
+    category C { objects z; gen p : z -> z; }
+    category D { objects w; }
+    functor F : C -> D { obj z => w; gen p => id; }
+    signature S over C { op act : 1 ~> 1 @ p; }
+    signature T over D { }
+    handler h over S to T via F at z : 1 => 1 {
+      return x => val w x;
+      op act(u), r => let q <- val w nope in r ();
+    }
+    program hidden over T : 1 @ id(w) {
+      handle (split ((fun^p (u : 1) => do act(u)), ()) as (f, v) in f ()) with h
+    }
+    """)
+    assert main(["check", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "type error: handler h: unbound variable 'nope' "
+        "in the default clause for act\n")
+
+
+@pytest.mark.parametrize("command", ["check", "run", "denote"])
+def test_deeply_nested_program_is_an_error_line(command, tmp_path, capsys):
+    deep = tmp_path / "deep.ceff"
+    lets = "".join(f"let x{i} <- val a () in " for i in range(1200))
+    deep.write_text(f"""
+    category C {{ objects a; }}
+    signature S over C {{ }}
+    program p over S : 1 @ id(a) {{ {lets}val a () }}
+    """)
+    assert main([command, str(deep)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {deep}: program nests too deeply for cateff\n")
+
+
 def test_unparsable_file_exits_one(tmp_path, capsys):
     bad = tmp_path / "broken.ceff"
     bad.write_text("category ???")

@@ -1,5 +1,6 @@
 import pytest
 
+from cateff.conformance import generate_wellgraded_terms
 from cateff.eval import (
     HandleFrame, LetFrame, MaxStepsExceeded, OpAtTop, RedexAt, Stuck,
     Terminal, WeakenFrame, continuation_grade, decompose, rebuild, run,
@@ -7,9 +8,13 @@ from cateff.eval import (
 )
 from cateff.parser import parse_bundle
 from cateff.terms import (
-    App, Handle, Inl, Inr, Lam, Let, OpCall, Pair, StarV, Val, Var, pp_comp,
+    App, Handle, Inl, Inr, Lam, Let, OpCall, Pair, StarV, Val, Var,
+    free_comp_vars, pp_comp,
 )
 from cateff.typecheck import MissingClause, check_bundle
+from conftest import theory_text
+
+THEORIES = ("session", "pair_handler", "mutstore", "widened")
 
 
 def test_decompose_value_is_terminal(session_bundle):
@@ -84,6 +89,26 @@ def test_run_is_deterministic(pair_bundle):
     t1 = run_program(prog)
     t2 = run_program(prog)
     assert [pp_comp(c) for c in t1.configs] == [pp_comp(c) for c in t2.configs]
+
+
+def test_resumption_binder_avoids_the_let_binders_of_its_context(pair_bundle):
+    configs = run_program(pair_bundle.programs["pair_main"]).configs
+    assert pp_comp(configs[4]).startswith(
+        "(fun^id(pt) (y1 : 1+1) => handle (let y <- val e y1 in ")
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_every_configuration_is_closed(theory):
+    bundle = parse_bundle(theory_text(theory))
+    check_bundle(bundle)
+    programs = [(p.body, p.signature) for p in bundle.programs.values()]
+    pool = tuple(bundle.handlers.values())
+    for sig in bundle.signatures.values():
+        programs += [(m, sig) for m in generate_wellgraded_terms(
+            sig, seed=0, count=100, depth=4, handler_pool=pool)]
+    for m, sig in programs:
+        for config, _ in steps(m, sig):
+            assert free_comp_vars(config) == set()
 
 
 def test_golden_pair_trace_step_count_and_result(pair_bundle):

@@ -5,7 +5,7 @@ import pytest
 from cateff.parser import CeffSyntaxError, UnboundName, parse_bundle
 from cateff.terms import (
     App, Inl, Lam, Let, Match, OpCall, Pair, Proj, StarV, Val, Var,
-    free_comp_vars, pp_bundle, pp_comp, pp_value, substitute, substitute_value,
+    free_comp_vars, pp_bundle, pp_comp, pp_value, substitute,
 )
 from conftest import theory_text
 
@@ -149,22 +149,22 @@ def test_proj_substitution_contract():
     assert m == Val("a", Pair(StarV(), Pair(StarV(), StarV())))
 
 
-def test_capture_avoiding_substitution_renames_binder(session_bundle):
-    cat = session_bundle.categories["Session"]
-    from cateff.signature import UNIT
-    lam = Lam(cat.identity("int"), "y", UNIT, Val("int", Var("x")))
-    out = substitute_value(lam, {"x": Var("y")})
-    assert out.var != "y"
-    assert out.body == Val("int", Var("y"))
+_SCOPE = Val("a", Var("x"))
 
 
-def test_capturing_substitution_is_deterministic(session_bundle):
-    cat = session_bundle.categories["Session"]
-    from cateff.signature import UNIT
-    lam = Lam(cat.identity("int"), "y", UNIT, Val("int", Var("x")))
-    outs = [substitute_value(lam, {"x": Var("y")}) for _ in range(3)]
-    assert outs[0].var == "y1"
-    assert outs[1] == outs[0] and outs[2] == outs[0]
+@pytest.mark.parametrize("term, untouched", [
+    (Let("x", Val("a", StarV()), _SCOPE), lambda m: m.body),
+    (Val("a", Lam(None, "x", None, _SCOPE)), lambda m: m.val.body),
+    (Proj(Pair(StarV(), StarV()), "x", "y", _SCOPE), lambda m: m.body),
+    (Proj(Pair(StarV(), StarV()), "y", "x", _SCOPE), lambda m: m.body),
+    (Match(Inl(StarV(), None), "x", _SCOPE, "y", Val("a", StarV())),
+     lambda m: m.left),
+    (Match(Inl(StarV(), None), "y", Val("a", StarV()), "x", _SCOPE),
+     lambda m: m.right),
+], ids=["let", "lam", "proj-left", "proj-right", "match-left", "match-right"])
+def test_substitution_stops_at_a_binder_of_the_same_name(term, untouched):
+    out = substitute(term, {"x": Pair(StarV(), StarV())})
+    assert untouched(out) == _SCOPE
 
 
 def test_substitution_leaves_unrelated_binders_alone():

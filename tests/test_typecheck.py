@@ -202,6 +202,28 @@ def test_dynamic_operation_positions_require_a_default_clause():
         check_program(bundle.programs["tricky"])
 
 
+def test_default_clause_with_an_unbound_variable_is_rejected_at_check_time():
+    # the default clause is reached only through a lambda hidden in a pair,
+    # so no continuation grade reaches it before the run
+    src = """
+    category C { objects z; gen p : z -> z; }
+    category D { objects w; }
+    functor F : C -> D { obj z => w; gen p => id; }
+    signature S over C { op act : 1 ~> 1 @ p; }
+    signature T over D { }
+    handler h over S to T via F at z : 1 => 1 {
+      return x => val w x;
+      op act(u), r => let q <- val w nope in r ();
+    }
+    program hidden over T : 1 @ id(w) {
+      handle (split ((fun^p (u : 1) => do act(u)), ()) as (f, v) in f ()) with h
+    }
+    """
+    with pytest.raises(UnboundVariable, match="^handler h: unbound variable "
+                       "'nope' in the default clause for act$"):
+        check_bundle(parse_bundle(src))
+
+
 def test_let_bound_lambda_continuations_are_collected():
     src = """
     category C { objects z; gen p : z -> z; }
