@@ -4,17 +4,15 @@ category, together with an executable metatheory harness."""
 
 from .grading import (
     GradingCategory, GradingFunctor, Morphism, build_category, compose,
-    pair_completion,
 )
 from .parser import load_bundle, parse_bundle
-from .signature import GradedSignature, OpDecl, build_signature, enumerate_type
+from .signature import GradedSignature, OpDecl, enumerate_type
 from .typecheck import check_bundle, check_program, grade_of_computation
 
 __all__ = [
     "GradingCategory", "GradingFunctor", "Morphism", "build_category",
-    "compose", "pair_completion", "load_bundle", "parse_bundle",
-    "GradedSignature", "OpDecl", "build_signature", "enumerate_type",
-    "check_bundle", "check_program", "grade_of_computation",
+    "compose", "load_bundle", "parse_bundle", "GradedSignature", "OpDecl",
+    "enumerate_type", "check_bundle", "check_program", "grade_of_computation",
 ]
 
 __version__ = "0.1.0"

@@ -17,17 +17,17 @@ from .terms import pp_comp, pp_type
 from .typecheck import CateffTypeError, check_bundle, grade_of_computation
 
 
-def _default_max_steps() -> int:
-    env = os.environ.get("CATEFF_MAX_STEPS")
-    return int(env) if env else 100_000
-
-
 def _load(path):
     try:
         return load_bundle(path)
     except (CeffError, GradingError, SignatureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text ({exc.reason} at byte "
+              f"{exc.start})", file=sys.stderr)
+    raise SystemExit(1)
 
 
 def cmd_check(args) -> int:
@@ -84,7 +84,7 @@ def cmd_denote(args) -> int:
             tree = denote_program(prog)
         except DenoteError as exc:
             print(f"{name}: error: {exc}", file=sys.stderr)
-            status = 2
+            status = status or 2  # an unserializable tree's exit 1 wins
             continue
         if args.json:
             try:
@@ -92,7 +92,7 @@ def cmd_denote(args) -> int:
             except NonComparable:
                 print(f"{name}: tree carries function-space leaves; "
                       f"not serializable", file=sys.stderr)
-                return 1
+                status = 1
         else:
             print(f"{name}: {_pp_tree(tree)}")
     return status
@@ -129,6 +129,8 @@ def main(argv=None) -> int:
                     "small-step evaluation, term-tree denotations and "
                     "metatheory conformance.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # type=int converts this string only in the subcommands that use it
+    max_steps = os.environ.get("CATEFF_MAX_STEPS") or "100000"
 
     p = sub.add_parser("check", help="type- and grade-check every program")
     p.add_argument("file")
@@ -138,7 +140,7 @@ def main(argv=None) -> int:
     p.add_argument("file")
     p.add_argument("--trace", action="store_true",
                    help="print every configuration with its grade")
-    p.add_argument("--max-steps", type=int, default=_default_max_steps())
+    p.add_argument("--max-steps", type=int, default=max_steps)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("denote", help="print the term tree of every program")
@@ -152,7 +154,7 @@ def main(argv=None) -> int:
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--json-report", action="store_true")
-    p.add_argument("--max-steps", type=int, default=_default_max_steps())
+    p.add_argument("--max-steps", type=int, default=max_steps)
     p.set_defaults(fn=cmd_conform)
 
     args = parser.parse_args(argv)

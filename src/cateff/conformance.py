@@ -21,7 +21,7 @@ from .signature import (
 )
 from .terms import (
     App, CompAst, Handle, HandlerAst, Inl, Inr, Lam, Let, Match, OpCall,
-    Pair, Program, Proj, StarV, Val, ValueAst, Var,
+    Pair, Proj, StarV, Val, ValueAst, Var,
 )
 from .typecheck import CateffTypeError, check_bundle, grade_of_computation
 

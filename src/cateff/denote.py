@@ -1,5 +1,5 @@
-"""Denotational semantics: types to finite sets or function spaces,
-computations to graded term trees, handlers to tree folds.
+"""Denotational semantics: values to semantic values, computations to
+graded term trees, handlers to tree folds.
 
 A computation judged at grade f denotes a term tree of grade f over the
 denotation of its result type.  Let is grafting, operation calls become
@@ -9,12 +9,9 @@ coercion nodes (pre-coercion at the root, post-coercion at every leaf).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .freemodel import Coerce, Leaf, Node, TermTree, coerce, graft, make_node, unit_leaf
 from .signature import (
-    FunV, GradedSignature, InlV, InrV, PairV, SemValue, STAR, Type,
-    enumerate_type, is_primitive,
+    FunV, GradedSignature, InlV, InrV, PairV, SemValue, STAR, enumerate_type,
 )
 from .terms import (
     App, CompAst, Gunit, Handle, HandlerAst, Inl, Inr, Lam, Let, Match,
@@ -25,19 +22,6 @@ from .typecheck import CateffTypeError, MissingClause, clause_for
 
 class DenoteError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class FunSpace:
-    """Descriptor for a non-enumerable semantic domain."""
-    of: Type
-
-
-def denote_type(t: Type):
-    """Finite enumerated set for primitive types, a descriptor otherwise."""
-    if is_primitive(t):
-        return enumerate_type(t)
-    return FunSpace(t)
 
 
 def _lookup(names: tuple, env: tuple, name: str) -> SemValue:

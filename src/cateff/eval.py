@@ -270,10 +270,6 @@ class Trace:
     def steps(self) -> int:
         return len(self.configs) - 1
 
-    @property
-    def result_value(self) -> Optional[ValueAst]:
-        return self.final.value if isinstance(self.final, Terminal) else None
-
 
 def run(m: CompAst, sig: GradedSignature, max_steps: int = 100_000) -> Trace:
     """Step until a value form or an unhandled operation call."""

@@ -4,18 +4,20 @@ A tree is either a payload-carrying leaf (grade ``id``), an operation node
 whose children are indexed by the canonical enumeration of the operation's
 arity and share one grade ``k`` (node grade = operation grade ; k), or a
 coercion node realizing a generalised unit along the wide subcategory.
-Grafting trees onto leaves is the free-model multiplication; interpreting
-trees in finite models and the induced free extension give the universal
-property at testable scale.
+Grafting trees onto leaves is the free-model multiplication.
+
+A ``.ceff`` signature declares operations and no equations, so every theory
+a program names is free and this is its only model.  The extension of a
+leaf assignment out of the free model is a handler's fold
+(``denote.denote_handler``); no other model is represented.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable
 
 from .grading import Morphism, compose
-from .signature import NonComparable, SemValue, value_to_json
+from .signature import SemValue, value_to_json
 
 
 class FreeModelError(Exception):
@@ -23,10 +25,6 @@ class FreeModelError(Exception):
 
 
 class GradeHeterogeneous(FreeModelError):
-    pass
-
-
-class MissingInterp(FreeModelError):
     pass
 
 
@@ -137,17 +135,6 @@ def graft(t: TermTree, phi: Callable, cat) -> TermTree:
     return go(t)
 
 
-def tree_leaves(t: TermTree):
-    match t:
-        case Leaf(_, _):
-            yield t
-        case Node(_, _, _, _, children):
-            for c in children:
-                yield from tree_leaves(c)
-        case Coerce(_, child):
-            yield from tree_leaves(child)
-
-
 def tree_to_json(t: TermTree):
     match t:
         case Leaf(obj, val):
@@ -160,95 +147,3 @@ def tree_to_json(t: TermTree):
             return {"coerce": {"r": str(r), "child": tree_to_json(child)}}
     raise FreeModelError(f"not a term tree: {t!r}")
 
-
-# ---------------------------------------------------------------------------
-# finite models
-
-@dataclass
-class FiniteModel:
-    """A model at ``at_obj``: finite carriers indexed by morphisms into it.
-
-    ``interp`` maps (operation name, k) to a function taking a parameter
-    value and a tuple of carrier elements (one per arity value, in canonical
-    order) into the carrier at ``op grade ; k``.
-    """
-    at_obj: str
-    carrier: dict  # Morphism -> tuple of elements
-    interp: dict  # (op name, Morphism) -> callable(param, children) -> element
-
-
-def interpret(t: TermTree, model: FiniteModel, k: Morphism, env: dict):
-    """Interpretation of a tree at k: env assigns carrier(k) elements to payloads."""
-    match t:
-        case Leaf(_, val):
-            return env[val]
-        case Node(op, _, param, child_k, children):
-            at = compose(child_k, k)
-            fn = model.interp.get((op, at))
-            if fn is None:
-                raise MissingInterp(f"model has no interpretation of {op} at {at}")
-            vals = tuple(interpret(c, model, k, env) for c in children)
-            return fn(param, vals)
-        case Coerce(r, _):
-            raise MissingInterp(
-                f"finite model lacks generalised-unit structure for {r}")
-    raise FreeModelError(f"not a term tree: {t!r}")
-
-
-def free_extension(phi, model: FiniteModel) -> Callable:
-    """The homomorphism out of the free model fixed by a leaf assignment.
-
-    phi maps payloads to carrier(id) elements; the returned evaluator sends a
-    tree of grade f to a carrier(f) element and commutes with every
-    operation's interpretation.
-    """
-    lookup = phi.__getitem__ if isinstance(phi, dict) else phi
-
-    def ext(t: TermTree):
-        match t:
-            case Leaf(_, val):
-                return lookup(val)
-            case Node(op, _, param, k, children):
-                fn = model.interp.get((op, k))
-                if fn is None:
-                    raise MissingInterp(
-                        f"model has no interpretation of {op} at {k}")
-                return fn(param, tuple(ext(c) for c in children))
-            case Coerce(r, _):
-                raise MissingInterp(
-                    f"finite model lacks generalised-unit structure for {r}")
-        raise FreeModelError(f"not a term tree: {t!r}")
-
-    return ext
-
-
-def check_equations(equations, model: FiniteModel, cat) -> list:
-    """Check term-pair equations against a finite model, all environments.
-
-    Returns a list of violation records (equation index, k, environment,
-    differing values); empty means the model satisfies the equations.
-    """
-    violations = []
-    for idx, (lhs, rhs) in enumerate(equations):
-        gl, gr = grade_of(lhs, cat), grade_of(rhs, cat)
-        if gl != gr:
-            raise GradeHeterogeneous(
-                f"equation {idx}: sides have grades {gl} and {gr}")
-        payloads = sorted({leaf.val for leaf in tree_leaves(lhs)}
-                          | {leaf.val for leaf in tree_leaves(rhs)},
-                          key=str)
-        for k, elems in model.carrier.items():
-            if k.dom != gl.cod:
-                continue
-            for choice in product(elems, repeat=len(payloads)):
-                env = dict(zip(payloads, choice))
-                try:
-                    lv = interpret(lhs, model, k, env)
-                    rv = interpret(rhs, model, k, env)
-                except MissingInterp:
-                    break
-                if lv != rv:
-                    violations.append(
-                        {"equation": idx, "k": k, "env": env,
-                         "lhs": lv, "rhs": rv})
-    return violations

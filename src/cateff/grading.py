@@ -3,12 +3,11 @@
 A category is presented by objects, named generators and oriented rewrite
 rules between generator paths.  Morphisms are kept in normal form (leftmost
 rewriting to a fixpoint), so equality is string equality of paths.  Functors
-between presentations and the pair completion construction live here too.
+between presentations live here too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 STEP_CAP = 10_000  # rewrite steps before normalization is deemed divergent
 CONFLUENCE_LEN = 4  # longest path whose local confluence is checked at load
@@ -204,28 +203,6 @@ class GradingCategory:
         """Whether the normal form of ``m`` lies in the wide subcategory R."""
         return all(name in self.wide for name in m.path)
 
-    def morphisms_from(self, obj, max_len):
-        """All normal-form morphisms out of ``obj`` with path length <= max_len."""
-        found = {(): self.identity(obj)}
-        frontier = [()]
-        by_dom: dict[str, list[Generator]] = {}
-        for gen in self.generators.values():
-            by_dom.setdefault(gen.dom, []).append(gen)
-        for _ in range(max_len):
-            nxt = []
-            for path in frontier:
-                cod = obj if not path else self.generators[path[-1]].cod
-                for gen in by_dom.get(cod, ()):
-                    norm = self.normalize(path + (gen.name,))
-                    if norm not in found:
-                        found[norm] = self.morphism(norm, dom=obj)
-                        nxt.append(norm)
-            frontier = nxt
-        return sorted(found.values(), key=lambda m: (len(m.path), m.path))
-
-    def hom(self, a, b, max_len):
-        return [m for m in self.morphisms_from(a, max_len) if m.cod == b]
-
     def __repr__(self):
         return f"GradingCategory({self.name!r})"
 
@@ -321,33 +298,3 @@ def build_category(name, objects, generators, rules=(),
                    wide=()) -> GradingCategory:
     return GradingCategory(name, objects, generators, rules, wide)
 
-
-def pair_name(a, b):
-    return f"<{a},{b}>"
-
-
-def pair_completion(cat: GradingCategory, name=None) -> GradingCategory:
-    """Freely adjoin one absorbing morphism <a,b> per ordered object pair.
-
-    The added generators absorb composition on either side: composing any
-    morphism into or out of an <a,b> generator collapses to the <.,.>
-    generator with the outer endpoints.  Existing generators, rules and wide
-    markings are kept unchanged.
-    """
-    gens = list(cat.generators.values())
-    rules = list(cat.rules)
-    for a, b in product(cat.objects, repeat=2):
-        gens.append(Generator(pair_name(a, b), a, b))
-    for a, b, c in product(cat.objects, repeat=3):
-        rules.append(RewriteRule((pair_name(a, b), pair_name(b, c)),
-                                 (pair_name(a, c),)))
-    for gen in cat.generators.values():
-        for x in cat.objects:
-            # <x,dom g> ; g  =  <x,cod g>
-            rules.append(RewriteRule((pair_name(x, gen.dom), gen.name),
-                                     (pair_name(x, gen.cod),)))
-            # g ; <cod g,x>  =  <dom g,x>
-            rules.append(RewriteRule((gen.name, pair_name(gen.cod, x)),
-                                     (pair_name(gen.dom, x),)))
-    return GradingCategory(name or f"{cat.name}^pair", cat.objects, gens,
-                           rules, cat.wide)

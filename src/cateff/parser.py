@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .grading import GradingError, GradingFunctor, Morphism, build_category
 from .signature import (
-    Arrow, OpDecl, Prod, SignatureError, Sum, Type, UNIT, build_signature,
+    Arrow, GradedSignature, OpDecl, Prod, SignatureError, Sum, Type, UNIT,
 )
 from .terms import (
     App, Clause, CompAst, Gunit, Handle, HandlerAst, Inl, Inr, Lam, Let,
@@ -548,7 +548,7 @@ class Parser:
             ops.append(OpDecl(opname, param, arity, grade))
         self.expect("}")
         try:
-            sig = build_signature(name, cat, ops)
+            sig = GradedSignature(name, cat, ops)
         except SignatureError as exc:
             self.fail(f"invalid signature {name}: {exc}", start)
         self.declare(self.bundle.signatures, name, sig, "signature", name_tok)

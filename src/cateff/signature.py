@@ -220,7 +220,3 @@ class GradedSignature:
 
     def __repr__(self):
         return f"GradedSignature({self.name!r}, ops={sorted(self.ops)})"
-
-
-def build_signature(name, category, ops) -> GradedSignature:
-    return GradedSignature(name, category, ops)

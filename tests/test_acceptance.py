@@ -5,7 +5,6 @@ bounds are step counts and wall-clock budgets.  Run with ``pytest -s`` to see
 one PASS line per criterion.
 """
 import time
-from itertools import product
 
 import pytest
 
@@ -14,13 +13,12 @@ from cateff.conformance import (
     verify_adequacy, verify_lemma_shapes, verify_soundness_along_trace,
 )
 from cateff.eval import Terminal, run_program
-from cateff.freemodel import FiniteModel, free_extension, make_node, unit_leaf
-from cateff.grading import GradingFunctor, build_category, compose, pair_completion, pair_name
+from cateff.grading import GradingFunctor, build_category, compose
 from cateff.parser import parse_bundle
-from cateff.signature import STAR, is_primitive
+from cateff.signature import is_primitive
 from cateff.terms import App, Handle, Inl, Inr, Lam, Let, Pair, Val, Var
 from cateff.typecheck import check_bundle, check_handler, grade_of_computation
-from conftest import theory_text
+from conftest import morphisms_from, pair_completion, pair_name, theory_text
 
 
 def _report(name, started):
@@ -161,50 +159,6 @@ def test_progress_preservation_safety_suite(generated_corpus):
     assert elapsed < 60.0
 
 
-def test_free_model_universality_at_desk_scale():
-    started = time.perf_counter()
-    cat = build_category("U", ["z"], [("p", "z", "z"), ("q", "z", "z")])
-    idz = cat.identity("z")
-    p = cat.morphism(("p",))
-    pp = compose(p, p)
-    t0 = unit_leaf("z", STAR)
-    t1 = make_node("sigma", p, STAR, (t0,))
-    t2 = make_node("sigma", p, STAR, (t1,))
-    models = 0
-    for s0, s1, s2 in product((1, 2, 3), repeat=3):
-        tables_id = product(range(s1), repeat=s0)
-        for tbl_id in tables_id:
-            for tbl_p in product(range(s2), repeat=s1):
-                model = FiniteModel(
-                    "z",
-                    {idz: tuple(range(s0)), p: tuple(range(s1)),
-                     pp: tuple(range(s2))},
-                    {("sigma", idz): lambda prm, ch, t=tbl_id: t[ch[0]],
-                     ("sigma", p): lambda prm, ch, t=tbl_p: t[ch[0]]})
-                models += 1
-                for leaf_image in range(s0):
-                    phi = {STAR: leaf_image}
-                    ext = free_extension(phi, model)
-                    # homomorphism: commutes with the interpretation on
-                    # every tree of depth <= 2
-                    assert ext(t0) == leaf_image
-                    assert ext(t1) == tbl_id[ext(t0)]
-                    assert ext(t2) == tbl_p[ext(t1)]
-                    # uniqueness: the only leaf-agreeing assignment that
-                    # commutes with the interpretation is the extension
-                    survivors = [
-                        (c0, c1, c2)
-                        for c0 in range(s0) for c1 in range(s1)
-                        for c2 in range(s2)
-                        if c0 == leaf_image
-                        and c1 == tbl_id[c0]
-                        and c2 == tbl_p[c1]]
-                    assert survivors == [(ext(t0), ext(t1), ext(t2))]
-    assert models == 1618
-    elapsed = _report("free-model-universality", started)
-    assert elapsed < 30.0
-
-
 def _test_categories():
     session = build_category(
         "Session", ["one", "int"],
@@ -235,7 +189,7 @@ def test_category_law_suite():
         gens = [cat.morphism((g,)) for g in cat.generators]
         # unit laws on all morphisms up to length 2
         for obj in cat.objects:
-            for m in cat.morphisms_from(obj, 2):
+            for m in morphisms_from(cat, obj, 2):
                 assert compose(cat.identity(m.dom), m) == m
                 assert compose(m, cat.identity(m.cod)) == m
         # associativity over all composable generator triples
@@ -262,7 +216,8 @@ def test_category_law_suite():
                                "h": point.identity("pt")})
     for obj in proto.objects:
         assert collapse.apply(proto.identity(obj)) == point.identity("pt")
-    all_proto = [m for obj in proto.objects for m in proto.morphisms_from(obj, 3)]
+    all_proto = [m for obj in proto.objects
+                 for m in morphisms_from(proto, obj, 3)]
     for f in all_proto:
         for g in all_proto:
             if f.cod != g.dom:
@@ -277,6 +232,7 @@ def test_category_law_suite():
                 norm = comp.normalize(path)
                 assert len(norm) == 1 and norm[0] in pair_gens
     disc = cats[4]
-    assert [str(m) for m in disc.hom("a", "b", 3)] == [pair_name("a", "b")]
+    assert [str(m) for m in morphisms_from(disc, "a", 3)
+            if m.cod == "b"] == [pair_name("a", "b")]
     elapsed = _report("category-laws", started)
     assert elapsed < 30.0

@@ -70,6 +70,29 @@ def test_unparsable_file_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+UNREADABLE = {
+    "missing": "No such file or directory",
+    "directory": "Is a directory",
+    "not_utf8": "not UTF-8 text",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run", "denote", "conform"])
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+def test_unreadable_file_is_an_error_line(kind, command, tmp_path, capsys):
+    path = tmp_path / "theory.ceff"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"category \xff {}")
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(path)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {UNREADABLE[kind]}")
+    assert err.count("\n") == 1
+
+
 def test_run_prints_final_configurations(capsys):
     assert main(["run", theory_path("pair_handler")]) == 0
     out = capsys.readouterr().out
@@ -112,6 +135,22 @@ def test_max_steps_env_override(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["check", "run", "denote", "conform"])
+def test_bad_max_steps_env_is_a_usage_error_of_run_and_conform(
+        command, monkeypatch, capsys):
+    monkeypatch.setenv("CATEFF_MAX_STEPS", "abc")
+    if command in ("check", "denote"):
+        assert main([command, theory_path("pair_handler")]) == 0
+        assert capsys.readouterr().err == ""
+        return
+    with pytest.raises(SystemExit) as exc:
+        main([command, theory_path("pair_handler")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-steps: invalid int value: 'abc'" in err
+    assert "Traceback" not in err
+
+
 def test_denote_json_output(capsys):
     assert main(["denote", "--json", theory_path("widened")]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -120,6 +159,21 @@ def test_denote_json_output(capsys):
     assert names == {"widened", "widened_pure"}
     widened = next(p for p in payloads if "widened" in p)["widened"]
     assert "coerce" in widened
+
+
+def test_denote_json_goes_on_after_an_unserializable_tree(tmp_path, capsys):
+    path = tmp_path / "fun.ceff"
+    path.write_text("""
+    category C { objects a; }
+    signature S over C { }
+    program p over S : 1 -> 1 @ id(a) @ id(a) { val a (fun^id(a) (x : 1) => val a x) }
+    program q over S : 1 @ id(a) { val a () }
+    """)
+    assert main(["denote", "--json", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "p: tree carries function-space leaves; not serializable\n"
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"q": {"leaf": {"obj": "a", "val": "*"}}}]
 
 
 def test_denote_plain_output(capsys):

@@ -1,35 +1,20 @@
 from cateff.conformance import TermGenerator
 from cateff.denote import (
-    FunSpace, denote_computation, denote_handler, denote_program,
-    denote_type, denote_value,
+    denote_computation, denote_handler, denote_program, denote_value,
 )
 from cateff.eval import run_program, Terminal
 from cateff.freemodel import (
-    Coerce, Leaf, Node, coerce, grade_of, graft, make_node, unit_leaf,
+    Coerce, Leaf, Node, grade_of, graft, make_node, unit_leaf,
 )
 from cateff.parser import parse_bundle
 from cateff.signature import (
-    Arrow, FunV, InlV, InrV, PairV, STAR, Sum, UNIT, enumerate_type,
+    FunV, InlV, InrV, PairV, STAR, Sum, UNIT, enumerate_type,
 )
 from cateff.terms import Lam, Let, OpCall, StarV, Val, Var, substitute
 from cateff.typecheck import grade_of_computation
 
 BOOL = Sum(UNIT, UNIT)
 INT4 = Sum(UNIT, Sum(UNIT, Sum(UNIT, UNIT)))
-
-
-def test_denote_type_unit_is_the_singleton():
-    assert denote_type(UNIT) == (STAR,)
-
-
-def test_denote_type_two_element_sum():
-    assert denote_type(BOOL) == (InlV(STAR), InrV(STAR))
-
-
-def test_denote_type_arrow_is_a_function_space_descriptor(session_bundle):
-    cat = session_bundle.categories["Session"]
-    arrow = Arrow(UNIT, UNIT, cat.identity("int"))
-    assert denote_type(arrow) == FunSpace(arrow)
 
 
 def test_variable_denotes_projection(session_bundle):

@@ -3,9 +3,9 @@ from hypothesis import given, strategies as st
 
 from cateff.grading import build_category
 from cateff.signature import (
-    Arrow, DuplicateOp, InlV, InrV, NonComparable, NonPrimitiveType, OpDecl,
-    PairV, Prod, STAR, Star, Sum, UNIT, UnknownMorphism, build_signature,
-    enumerate_type, is_primitive, FunV,
+    Arrow, DuplicateOp, GradedSignature, InlV, InrV, NonComparable,
+    NonPrimitiveType, OpDecl, PairV, Prod, STAR, Star, Sum, UNIT,
+    UnknownMorphism, enumerate_type, is_primitive, FunV,
 )
 
 BOOL = Sum(UNIT, UNIT)
@@ -24,7 +24,7 @@ def test_session_signature_builds(session_bundle):
 
 
 def test_empty_signature_over_trivial_category():
-    sig = build_signature("Empty", trivial_cat(), [])
+    sig = GradedSignature("Empty", trivial_cat(), [])
     assert not sig.ops
     assert "anything" not in sig
 
@@ -32,7 +32,7 @@ def test_empty_signature_over_trivial_category():
 def test_op_graded_in_another_category_is_rejected():
     cat, other = trivial_cat(), trivial_cat("Other")
     with pytest.raises(UnknownMorphism):
-        build_signature("Bad", cat,
+        GradedSignature("Bad", cat,
                         [OpDecl("op", UNIT, UNIT, other.identity("z"))])
 
 
@@ -40,16 +40,16 @@ def test_non_primitive_parameter_is_rejected():
     cat = trivial_cat()
     arrow = Arrow(UNIT, UNIT, cat.identity("z"))
     with pytest.raises(NonPrimitiveType):
-        build_signature("Bad", cat, [OpDecl("op", arrow, UNIT, cat.identity("z"))])
+        GradedSignature("Bad", cat, [OpDecl("op", arrow, UNIT, cat.identity("z"))])
     with pytest.raises(NonPrimitiveType):
-        build_signature("Bad", cat, [OpDecl("op", UNIT, arrow, cat.identity("z"))])
+        GradedSignature("Bad", cat, [OpDecl("op", UNIT, arrow, cat.identity("z"))])
 
 
 def test_duplicate_operation_is_rejected():
     cat = trivial_cat()
     op = OpDecl("op", UNIT, UNIT, cat.identity("z"))
     with pytest.raises(DuplicateOp):
-        build_signature("Bad", cat, [op, op])
+        GradedSignature("Bad", cat, [op, op])
 
 
 def test_enumerate_unit():

@@ -334,7 +334,7 @@ def test_operations_after_a_resumption_are_dynamic(outer_clause, checks):
     bundle = parse_bundle(src)
     if checks:
         check_bundle(bundle)
-        assert run_program(bundle.programs["after"]).result_value == StarV()
+        assert run_program(bundle.programs["after"]).final.value == StarV()
     else:
         with pytest.raises(MissingClause) as exc:
             check_bundle(bundle)
