@@ -21,7 +21,7 @@ def _load(path):
     try:
         return load_bundle(path)
     except (CeffError, GradingError, SignatureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {path}: {exc}", file=sys.stderr)
     except OSError as exc:
         print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
     except UnicodeDecodeError as exc:
@@ -30,25 +30,13 @@ def _load(path):
     raise SystemExit(1)
 
 
-def cmd_check(args) -> int:
-    bundle = _load(args.file)
-    try:
-        judgements = check_bundle(bundle)
-    except CateffTypeError as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return 1
+def cmd_check(args, bundle, judgements) -> int:
     for name, j in judgements.items():
         print(f"⊢_{{{j.grade}}} {name} : {pp_type(j.result_type)}")
     return 0
 
 
-def cmd_run(args) -> int:
-    bundle = _load(args.file)
-    try:
-        check_bundle(bundle)
-    except CateffTypeError as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return 1
+def cmd_run(args, bundle, judgements) -> int:
     status = 0
     for name, prog in bundle.programs.items():
         try:
@@ -71,13 +59,7 @@ def cmd_run(args) -> int:
     return status
 
 
-def cmd_denote(args) -> int:
-    bundle = _load(args.file)
-    try:
-        check_bundle(bundle)
-    except CateffTypeError as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return 1
+def cmd_denote(args, bundle, judgements) -> int:
     status = 0
     for name, prog in bundle.programs.items():
         try:
@@ -110,8 +92,7 @@ def _pp_tree(tree) -> str:
     return repr(tree)
 
 
-def cmd_conform(args) -> int:
-    bundle = _load(args.file)
+def cmd_conform(args, bundle) -> int:
     report = run_conformance(bundle, seed=args.seed, count=args.count,
                              depth=args.depth, max_steps=args.max_steps)
     if args.json_report:
@@ -120,6 +101,19 @@ def cmd_conform(args) -> int:
         for result in report.results:
             print(result.line())
     return 0 if report.ok else 3
+
+
+def _dispatch(args) -> int:
+    """Load the file once and, but for conform, type-check it once."""
+    bundle = _load(args.file)
+    if args.fn is cmd_conform:  # a type error is its failing typecheck line
+        return cmd_conform(args, bundle)
+    try:
+        judgements = check_bundle(bundle)
+    except CateffTypeError as exc:
+        print(f"type error: {exc}", file=sys.stderr)
+        return 1
+    return args.fn(args, bundle, judgements)
 
 
 def main(argv=None) -> int:
@@ -159,10 +153,17 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
     except RecursionError:
         print(f"error: {args.file}: program nests too deeply for cateff",
               file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader went away; send what Python flushes at exit nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

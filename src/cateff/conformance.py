@@ -110,18 +110,24 @@ def verify_adequacy(comp: CompAst, sig: GradedSignature,
     return CheckResult("adequacy", False, f"terminal is not val {grade.dom} ()")
 
 
-def _uses_weakening(m: CompAst) -> bool:
-    match m:
-        case Val(_, _) | OpCall(_, _) | App(_, _):
+def _uses_weakening(node) -> bool:
+    """Whether a weakening occurs in ``node``, in a lambda body inside it or
+    in a clause of a handler it installs: each can reach a configuration."""
+    match node:
+        case Var() | StarV():
             return False
-        case Let(_, bound, body):
-            return _uses_weakening(bound) or _uses_weakening(body)
-        case Proj(_, _, _, body):
+        case Inl(v, _) | Inr(v, _) | Val(_, v) | OpCall(_, v):
+            return _uses_weakening(v)
+        case Lam(_, _, _, body):
             return _uses_weakening(body)
-        case Match(_, _, left, _, right):
-            return _uses_weakening(left) or _uses_weakening(right)
-        case Handle(body, _):
-            return _uses_weakening(body)
+        case Pair(a, b) | App(a, b) | Let(_, a, b) | Proj(a, _, _, b):
+            return _uses_weakening(a) or _uses_weakening(b)
+        case Match(scrut, _, left, _, right):
+            return any(map(_uses_weakening, (scrut, left, right)))
+        case Handle(body, h):
+            clauses = [*h.clauses.values(), *h.defaults.values()]
+            return any(map(_uses_weakening,
+                           (body, h.ret_body, *(c.body for c in clauses))))
     return True  # Gunit
 
 
@@ -137,7 +143,6 @@ def verify_lemma_shapes(comp: CompAst, sig: GradedSignature,
     carries no reduction rule of its own.
     """
     ty0, g0 = grade_of_computation((), comp, sig)
-    weakened = _uses_weakening(comp)
     try:
         # progress: decomposition is total on checked terms
         for i, (m, d) in enumerate(steps(comp, sig, max_steps)):
@@ -159,7 +164,7 @@ def verify_lemma_shapes(comp: CompAst, sig: GradedSignature,
     if isinstance(d, OpAtTop):
         return CheckResult("lemma-shapes", True, f"ended about to perform {d.op}")
     if d.weakens:
-        if weakened:
+        if _uses_weakening(comp):
             return CheckResult("lemma-shapes", True,
                                "value form under the program's residual weakening")
         return CheckResult("lemma-shapes", False, "unexpected residual weakening")

@@ -19,11 +19,17 @@ Computations: ``val a V`` | ``let x <- M in N`` | ``do name(V)`` | ``V W`` |
 ``handle M with H`` | ``weaken g { M } h``.  Values: ``()`` | ``x`` |
 ``(V, W)`` | ``inl V : A+B`` | ``inr V : A+B`` | ``fun^path (x : A) => M``.
 A path is ``g.h.k`` or ``id(obj)``; the single binder ``_`` is a wildcard.
+
+The tokenizer is one regular expression.  A word is word characters not
+starting with a decimal digit (so ``²`` and ``ⅷ`` start one); a number is
+decimal digits.  Columns count from 1, a tab as one.  A comment moves no
+column, so end of file after a final comment without a newline is at its #.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .grading import GradingError, GradingFunctor, Morphism, build_category
 from .signature import (
@@ -63,56 +69,45 @@ COMP_KEYWORDS = frozenset(
     ["val", "let", "do", "split", "case", "handle", "weaken"])
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "num", "kw", or the symbol itself
     text: str
     line: int
     col: int
 
 
+# symbols are tried in the order of SYMBOLS, so "=>" wins over "="
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<num>\d+)
+  | (?P<sym>%s)
+  | (?P<other>.)
+""" % "|".join(map(re.escape, SYMBOLS)), re.VERBOSE)
+
+
 def tokenize(src: str):
     toks = []
-    line, col, i = 1, 1, 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line, col, i = line + 1, 1, i + 1
+    line, col = 1, 1
+    for m in _TOKEN.finditer(src):
+        group, text = m.lastgroup, m.group()
+        if group == "newline":
+            line, col = line + 1, 1
             continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            toks.append(Token("kw" if word in KEYWORDS else "ident",
-                              word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("num", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise CeffSyntaxError(f"unexpected character {c!r}", line, col)
+        if group == "comment":
+            continue  # the column stays: a newline or the end of file follows
+        if group == "word":
+            toks.append(Token("kw" if text in KEYWORDS else "ident",
+                              text, line, col))
+        elif group == "num":
+            toks.append(Token("num", text, line, col))
+        elif group == "sym":
+            toks.append(Token(text, text, line, col))
+        elif group == "other":
+            raise CeffSyntaxError(f"unexpected character {text!r}", line, col)
+        col += len(text)
     toks.append(Token("eof", "", line, col))
     return toks
 
@@ -128,7 +123,8 @@ class Parser:
     # -- token plumbing ---------------------------------------------------
 
     def peek(self, ahead=0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        # nothing looks past the end-of-file token, and next() stays on it
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.toks[self.pos]
@@ -137,20 +133,17 @@ class Parser:
         return tok
 
     def expect(self, kind, what=None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise CeffSyntaxError(
-                f"expected {what or kind!r}, found {tok.text or 'end of file'!r}",
-                tok.line, tok.col)
+        if self.peek().kind != kind:
+            self.fail_expected(what or kind)
         return self.next()
 
     def expect_kw(self, word) -> Token:
-        tok = self.peek()
-        if tok.kind != "kw" or tok.text != word:
-            raise CeffSyntaxError(
-                f"expected {word!r}, found {tok.text or 'end of file'!r}",
-                tok.line, tok.col)
+        if not self.at_kw(word):
+            self.fail_expected(word)
         return self.next()
+
+    def fail_expected(self, what):
+        self.fail(f"expected {what!r}, found {self.peek().text or 'end of file'!r}")
 
     def at_kw(self, word) -> bool:
         tok = self.peek()
@@ -158,6 +151,14 @@ class Parser:
 
     def ident(self, what="name") -> Token:
         return self.expect("ident", what)
+
+    def idents(self, sep, what) -> list:
+        """One or more identifier tokens separated by ``sep``."""
+        toks = [self.ident(what)]
+        while self.peek().kind == sep:
+            self.next()
+            toks.append(self.ident(what))
+        return toks
 
     def binder(self) -> str:
         tok = self.ident("binder")
@@ -171,7 +172,8 @@ class Parser:
 
     # -- names ------------------------------------------------------------
 
-    def lookup(self, table, name_tok, kind):
+    def lookup(self, table, kind, name_tok=None):
+        name_tok = name_tok or self.ident(f"{kind} name")
         item = table.get(name_tok.text)
         if item is None:
             raise UnboundName(f"unknown {kind} {name_tok.text!r}",
@@ -196,10 +198,7 @@ class Parser:
                 self.fail(f"unknown object {obj.text!r} in category {cat.name}",
                           obj, UnboundName)
             return cat.identity(obj.text)
-        names = [self.ident("generator name")]
-        while self.peek().kind == ".":
-            self.next()
-            names.append(self.ident("generator name"))
+        names = self.idents(".", "generator name")
         for name_tok in names:
             if name_tok.text not in cat.generators:
                 self.fail(f"unknown generator {name_tok.text!r} in category "
@@ -385,34 +384,26 @@ class Parser:
                     name_tok = self.peek(ahead + 1)
                     if name_tok.kind != "ident":
                         self.fail("expected handler name after 'with'", name_tok)
-                    return self.lookup(self.bundle.handlers, name_tok, "handler")
+                    return self.lookup(self.bundle.handlers, "handler", name_tok)
                 depth -= 1
 
     # -- declarations -------------------------------------------------------
 
     def parse_bundle(self) -> TheoryBundle:
-        while self.peek().kind != "eof":
-            if self.at_kw("category"):
-                self.parse_category()
-            elif self.at_kw("functor"):
-                self.parse_functor()
-            elif self.at_kw("signature"):
-                self.parse_signature()
-            elif self.at_kw("handler"):
-                self.parse_handler()
-            elif self.at_kw("program"):
-                self.parse_program()
-            else:
+        declarations = {"category": self.parse_category,
+                        "functor": self.parse_functor,
+                        "signature": self.parse_signature,
+                        "handler": self.parse_handler,
+                        "program": self.parse_program}
+        while (tok := self.peek()).kind != "eof":
+            if tok.kind != "kw" or tok.text not in declarations:
                 self.fail("expected a declaration (category/functor/signature/"
                           "handler/program)")
+            declarations[tok.text]()
         return self.bundle
 
     def _raw_path_names(self):
-        names = [self.ident("generator name").text]
-        while self.peek().kind == ".":
-            self.next()
-            names.append(self.ident("generator name").text)
-        return tuple(names)
+        return tuple(t.text for t in self.idents(".", "generator name"))
 
     def parse_category(self):
         start = self.expect_kw("category")
@@ -424,10 +415,7 @@ class Parser:
         while not self.peek().kind == "}":
             if self.at_kw("objects"):
                 self.next()
-                objects.append(self.ident("object name").text)
-                while self.peek().kind == ",":
-                    self.next()
-                    objects.append(self.ident("object name").text)
+                objects += [t.text for t in self.idents(",", "object name")]
                 self.expect(";")
             elif self.at_kw("gen"):
                 self.next()
@@ -454,10 +442,7 @@ class Parser:
                 self.expect(";")
             elif self.at_kw("wide"):
                 self.next()
-                wide.append(self.ident("generator name").text)
-                while self.peek().kind == ",":
-                    self.next()
-                    wide.append(self.ident("generator name").text)
+                wide += [t.text for t in self.idents(",", "generator name")]
                 self.expect(";")
             else:
                 self.fail("expected objects/gen/rule/wide declaration")
@@ -479,11 +464,9 @@ class Parser:
         name_tok = self.ident("functor name")
         name = name_tok.text
         self.expect(":")
-        source = self.lookup(self.bundle.categories,
-                             self.ident("category name"), "category")
+        source = self.lookup(self.bundle.categories, "category")
         self.expect("->")
-        target = self.lookup(self.bundle.categories,
-                             self.ident("category name"), "category")
+        target = self.lookup(self.bundle.categories, "category")
         self.expect("{")
         object_map, raw_gen_map = {}, {}
         while not self.peek().kind == "}":
@@ -531,8 +514,7 @@ class Parser:
         name_tok = self.ident("signature name")
         name = name_tok.text
         self.expect_kw("over")
-        cat = self.lookup(self.bundle.categories,
-                          self.ident("category name"), "category")
+        cat = self.lookup(self.bundle.categories, "category")
         self.expect("{")
         ops = []
         while not self.peek().kind == "}":
@@ -558,14 +540,11 @@ class Parser:
         name_tok = self.ident("handler name")
         name = name_tok.text
         self.expect_kw("over")
-        source = self.lookup(self.bundle.signatures,
-                             self.ident("signature name"), "signature")
+        source = self.lookup(self.bundle.signatures, "signature")
         self.expect_kw("to")
-        target = self.lookup(self.bundle.signatures,
-                             self.ident("signature name"), "signature")
+        target = self.lookup(self.bundle.signatures, "signature")
         self.expect_kw("via")
-        functor = self.lookup(self.bundle.functors,
-                              self.ident("functor name"), "functor")
+        functor = self.lookup(self.bundle.functors, "functor")
         self.expect_kw("at")
         at_tok = self.ident("object name")
         if at_tok.text not in source.category.objects:
@@ -624,8 +603,7 @@ class Parser:
         name_tok = self.ident("program name")
         name = name_tok.text
         self.expect_kw("over")
-        sig = self.lookup(self.bundle.signatures,
-                          self.ident("signature name"), "signature")
+        sig = self.lookup(self.bundle.signatures, "signature")
         cat = sig.category
         self.expect(":")
         ann_type = self.parse_type(cat)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cateff
 from cateff.cli import main
 from conftest import theory_path
 
@@ -68,6 +73,45 @@ def test_unparsable_file_exits_one(tmp_path, capsys):
         main(["check", str(bad)])
     assert exc.value.code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("category ???", "unexpected character '?' at 1:10"),
+    ("category C { objects a; gen g : a -> a; } category D { objects b; }\n"
+     "functor F : C -> D { obj a => zz; gen g => id; }",
+     "no object 'zz' in category D"),
+    ("category C { objects a; gen g : a -> a; }\n"
+     "signature S over C { op t : 1 ~> 1 @ g; op t : 1 ~> 1 @ g; }",
+     "invalid signature S: operation 't' declared twice at 2:1"),
+], ids=["token", "unknown_object", "duplicate_op"])
+def test_load_error_names_the_file(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.ceff"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(path)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_a_closed_stdout_ends_quietly(tmp_path):
+    # 2^12 leaves print far more than a pipe buffer holds
+    lets = "".join(f"let x{i} <- do flip(()) in " for i in range(12))
+    path = tmp_path / "wide.ceff"
+    path.write_text(f"""
+    category C {{ objects a; }}
+    signature S over C {{ op flip : 1 ~> 1+1 @ id(a); }}
+    program p over S : 1+1 @ id(a) {{ {lets}val a x11 }}
+    """)
+    src = str(Path(cateff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cateff.cli", "denote", "--json", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""  # neither a traceback nor "Exception ignored"
 
 
 UNREADABLE = {

@@ -11,6 +11,7 @@ from cateff.parser import parse_bundle
 from cateff.signature import UNIT, is_primitive
 from cateff.terms import Handle, Let, OpCall, StarV, Val, pp_comp
 from cateff.typecheck import check_bundle, grade_of_computation
+from conftest import theory_text
 
 
 def test_generation_is_deterministic_in_the_seed(session_bundle):
@@ -164,7 +165,31 @@ def test_lemma_shapes_modulo_weakening(widened_bundle):
     assert "weakening" in res.detail
 
 
-@pytest.mark.parametrize("theory", ["session", "pair_handler", "mutstore", "widened"])
+# the same residual weakening, reached through a lambda body and through a
+# handler's return clause
+HIDDEN_WEAKENINGS = """
+functor I : Sub -> Sub { obj lo => lo; obj hi => hi; gen up => up; gen eff => eff; }
+handler w over SubSig to SubSig via I at hi : 1 => 1+1 {
+  return x => weaken id(hi) { val hi (inl x : 1+1) } id(hi);
+  op tick(p), r => r (inl () : 1+1);
+}
+program viafun over SubSig : 1 @ up {
+  (fun^up (x : 1) => weaken up { val hi x } id(hi)) ()
+}
+program viahandler over SubSig : 1+1 @ id(hi) { handle (val hi ()) with w }
+"""
+
+
+@pytest.mark.parametrize("name", ["viafun", "viahandler"])
+def test_lemma_shapes_finds_weakenings_inside_values_and_clauses(name):
+    bundle = parse_bundle(theory_text("widened") + HIDDEN_WEAKENINGS)
+    prog = bundle.programs[name]
+    res = verify_lemma_shapes(prog.body, prog.signature)
+    assert res.passed, res.detail
+    assert "weakening" in res.detail
+
+
+@pytest.mark.parametrize("theory",["session", "pair_handler", "mutstore", "widened"])
 def test_run_conformance_is_green_on_shipped_theories(theory, request):
     fixture = {"pair_handler": "pair_bundle"}.get(theory, f"{theory}_bundle")
     bundle = request.getfixturevalue(fixture)

@@ -1,15 +1,17 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and the package
+defines nothing that no code names.
 
-The check reads the AST, so it needs no linter.  A name counts as used when
-it is loaded anywhere in the module, appears in a string annotation, or is
-listed in the module's ``__all__``; ``from __future__`` imports are exempt.
+The checks read the AST, so they need no linter.  An imported name counts
+as used when it is loaded anywhere in the module, appears in a string
+annotation, or is listed in the module's ``__all__``; ``from __future__``
+imports are exempt.
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*(ROOT / "src" / "cateff").glob("*.py"),
-                *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "cateff").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def _imported(tree):
@@ -48,3 +50,45 @@ def test_no_unused_imports():
         unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
                    for line, name in _imported(tree) if name not in used]
     assert unused == []
+
+
+def _defined(stmt):
+    """The top-level function, class or upper-case constant ``stmt`` defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
+            and isinstance(stmt.targets[0], ast.Name) \
+            and stmt.targets[0].id.isupper():
+        return stmt.targets[0].id
+    return None
+
+
+def _named(node):
+    """Every name ``node`` mentions: loaded, imported, an attribute, or an
+    identifier-shaped string (the benchmark patches functions by name)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            names.add(sub.value)
+    return names
+
+
+def test_no_dead_definitions():
+    readers = [*FILES, *(ROOT / "perfbench").glob("*.py")]
+    statements = [(path, stmt) for path in readers
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    named = [_named(stmt) for _, stmt in statements]
+    dead = []
+    for i, (path, stmt) in enumerate(statements):
+        name = _defined(stmt) if path in PACKAGE else None
+        if name and not any(name in names for j, names in enumerate(named)
+                            if j != i):
+            dead.append(f"{path.relative_to(ROOT)}:{stmt.lineno}: {name}")
+    assert dead == []

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from cateff.parser import CeffSyntaxError, UnboundName, parse_bundle
+from cateff.parser import (
+    KEYWORDS, SYMBOLS, CeffSyntaxError, UnboundName, parse_bundle, tokenize,
+)
 from cateff.terms import (
     App, Inl, Lam, Let, Match, OpCall, Pair, Proj, StarV, Val, Var,
     free_comp_vars, pp_bundle, pp_comp, pp_value, substitute,
@@ -52,6 +54,72 @@ def test_syntax_error_carries_position():
     with pytest.raises(CeffSyntaxError) as exc:
         parse_bundle("category C { objects a; gen : }")
     assert exc.value.line == 1 and exc.value.col is not None
+
+
+# every keyword and symbol, a tab, a \r\n line end, a Unicode-letter
+# identifier and a comment that runs to the end of the text
+GOLDEN_SRC = ("category objects gen rule wide functor obj signature op\n"
+              "handler over to via at return program val let in do\r\n"
+              "\tsplit as case of inl inr handle with weaken fun id\n"
+              "-> ~> => <- ( ) { } ; , . : @ | + * ^ =\n"
+              "  x->y~>z=>w<-v==u\tκé_1 g.h_2 007 # no newline follows")
+
+GOLDEN_TOKENS = [
+    ("kw", "category", 1, 1), ("kw", "objects", 1, 10), ("kw", "gen", 1, 18),
+    ("kw", "rule", 1, 22), ("kw", "wide", 1, 27), ("kw", "functor", 1, 32),
+    ("kw", "obj", 1, 40), ("kw", "signature", 1, 44), ("kw", "op", 1, 54),
+    ("kw", "handler", 2, 1), ("kw", "over", 2, 9), ("kw", "to", 2, 14),
+    ("kw", "via", 2, 17), ("kw", "at", 2, 21), ("kw", "return", 2, 24),
+    ("kw", "program", 2, 31), ("kw", "val", 2, 39), ("kw", "let", 2, 43),
+    ("kw", "in", 2, 47), ("kw", "do", 2, 50),
+    ("kw", "split", 3, 2), ("kw", "as", 3, 8), ("kw", "case", 3, 11),
+    ("kw", "of", 3, 16), ("kw", "inl", 3, 19), ("kw", "inr", 3, 23),
+    ("kw", "handle", 3, 27), ("kw", "with", 3, 34), ("kw", "weaken", 3, 39),
+    ("kw", "fun", 3, 46), ("kw", "id", 3, 50),
+    ("->", "->", 4, 1), ("~>", "~>", 4, 4), ("=>", "=>", 4, 7),
+    ("<-", "<-", 4, 10), ("(", "(", 4, 13), (")", ")", 4, 15),
+    ("{", "{", 4, 17), ("}", "}", 4, 19), (";", ";", 4, 21),
+    (",", ",", 4, 23), (".", ".", 4, 25), (":", ":", 4, 27),
+    ("@", "@", 4, 29), ("|", "|", 4, 31), ("+", "+", 4, 33),
+    ("*", "*", 4, 35), ("^", "^", 4, 37), ("=", "=", 4, 39),
+    ("ident", "x", 5, 3), ("->", "->", 5, 4), ("ident", "y", 5, 6),
+    ("~>", "~>", 5, 7), ("ident", "z", 5, 9), ("=>", "=>", 5, 10),
+    ("ident", "w", 5, 12), ("<-", "<-", 5, 13), ("ident", "v", 5, 15),
+    ("=", "=", 5, 16), ("=", "=", 5, 17), ("ident", "u", 5, 18),
+    ("ident", "κé_1", 5, 20), ("ident", "g", 5, 25), (".", ".", 5, 26),
+    ("ident", "h_2", 5, 27), ("num", "007", 5, 31),
+    # the column does not advance over a comment
+    ("eof", "", 5, 35),
+]
+
+
+def _tokens(src):
+    return [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
+
+
+def test_tokens_are_pinned_with_their_positions():
+    assert {t for t, *_ in GOLDEN_TOKENS} >= {"kw", *SYMBOLS}
+    assert {t for k, t, *_ in GOLDEN_TOKENS if k == "kw"} == KEYWORDS
+    assert _tokens(GOLDEN_SRC) == GOLDEN_TOKENS
+
+
+@pytest.mark.parametrize("src, char, line, col", [
+    ("category ???", "?", 1, 10),
+    ("category C {\r\n\tobjects a; $ }", "$", 2, 13),
+])
+def test_unexpected_character_error_names_its_position(src, char, line, col):
+    with pytest.raises(CeffSyntaxError) as exc:
+        tokenize(src)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"unexpected character {char!r} at {line}:{col}"
+
+
+def test_numeric_characters_other_than_decimal_digits_start_identifiers():
+    # a number is decimal digits only; other numeric characters are word
+    # characters, so they start or continue an identifier
+    assert _tokens("² ⅷ x²ⅷ 1²") == [
+        ("ident", "²", 1, 1), ("ident", "ⅷ", 1, 3), ("ident", "x²ⅷ", 1, 5),
+        ("num", "1", 1, 9), ("ident", "²", 1, 10), ("eof", "", 1, 11)]
 
 
 def test_unknown_category_reference_is_unbound():
