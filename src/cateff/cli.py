@@ -8,7 +8,9 @@ import sys
 
 from .conformance import run_conformance
 from .denote import DenoteError, denote_program
-from .eval import EvalError, OpAtTop, Terminal, run_program
+from .eval import (
+    DEFAULT_MAX_STEPS, EvalError, OpAtTop, Terminal, run_program,
+)
 from .freemodel import Coerce, Leaf, Node, tree_to_json
 from .grading import GradingError
 from .parser import CeffError, load_bundle
@@ -124,7 +126,7 @@ def main(argv=None) -> int:
                     "metatheory conformance.")
     sub = parser.add_subparsers(dest="command", required=True)
     # type=int converts this string only in the subcommands that use it
-    max_steps = os.environ.get("CATEFF_MAX_STEPS") or "100000"
+    max_steps = os.environ.get("CATEFF_MAX_STEPS") or str(DEFAULT_MAX_STEPS)
 
     p = sub.add_parser("check", help="type- and grade-check every program")
     p.add_argument("file")

@@ -5,7 +5,14 @@ The generator runs the typing rules backwards with a seeded RNG, so a corpus
 is reproducible from its seed.  Every emitted term re-checks; handled
 subterms are drawn as operation spines against a pool of handlers whose
 operations all carry default clauses, which makes clause coverage a
-construction invariant rather than a generation failure mode.
+construction invariant rather than a generation failure mode.  The pool
+leaves out handlers whose clauses weaken: a handled term may be let-bound,
+and a weakened value feeding a let has no rule.
+
+Soundness compares the term trees of all configurations for equality, and
+adequacy accepts a star value under weakenings that are all identities.
+Whether a program can reach a weakening is a walk over ``terms.children``
+and ``terms.clause_bodies``.
 """
 from __future__ import annotations
 
@@ -14,14 +21,16 @@ import random
 from dataclasses import dataclass, field
 
 from .denote import DenoteError, denote_computation
-from .eval import EvalError, MaxStepsExceeded, OpAtTop, run, steps
+from .eval import (
+    DEFAULT_MAX_STEPS, EvalError, MaxStepsExceeded, OpAtTop, run, steps,
+)
 from .freemodel import tree_to_json, unit_leaf
 from .signature import (
     GradedSignature, Prod, STAR, Sum, Type, UNIT, is_primitive,
 )
 from .terms import (
-    App, CompAst, Handle, HandlerAst, Inl, Inr, Lam, Let, Match, OpCall,
-    Pair, Proj, StarV, Val, ValueAst, Var,
+    App, CompAst, Gunit, Handle, HandlerAst, Inl, Inr, Lam, Let, Match,
+    OpCall, Pair, Proj, StarV, Val, ValueAst, Var, children, clause_bodies,
 )
 from .typecheck import CateffTypeError, check_bundle, grade_of_computation
 
@@ -62,28 +71,30 @@ class ConformanceReport:
 # per-program metatheory checks
 
 def verify_soundness_along_trace(comp: CompAst, sig: GradedSignature,
-                                 max_steps: int = 100_000) -> CheckResult:
+                                 max_steps: int = DEFAULT_MAX_STEPS
+                                 ) -> CheckResult:
     """Denotation must be invariant across every small step."""
     ty, _ = grade_of_computation((), comp, sig)
     if not is_primitive(ty):
         return CheckResult("soundness", False,
                            "program rejected: result type is not primitive")
     try:
-        denots = [tree_to_json(denote_computation((), m, (), sig))
-                  for m, _ in steps(comp, sig, max_steps)]
+        trees = [denote_computation((), m, (), sig)
+                 for m, _ in steps(comp, sig, max_steps)]
     except (EvalError, DenoteError) as exc:
         return CheckResult("soundness", False, str(exc))
-    for i in range(1, len(denots)):
-        if denots[i] != denots[0]:
+    for i, tree in enumerate(trees):
+        if tree != trees[0]:
             return CheckResult(
                 "soundness", False,
                 f"denotation changed at step {i}: "
-                f"{json.dumps(denots[0])} vs {json.dumps(denots[i])}")
-    return CheckResult("soundness", True, f"{len(denots) - 1} steps invariant")
+                f"{json.dumps(tree_to_json(trees[0]))} vs "
+                f"{json.dumps(tree_to_json(tree))}")
+    return CheckResult("soundness", True, f"{len(trees) - 1} steps invariant")
 
 
 def verify_adequacy(comp: CompAst, sig: GradedSignature,
-                    max_steps: int = 100_000) -> CheckResult:
+                    max_steps: int = DEFAULT_MAX_STEPS) -> CheckResult:
     """A unit-typed, identity-graded program denoting the pure star leaf
     must evaluate to ``val a ()``."""
     ty, grade = grade_of_computation((), comp, sig)
@@ -105,7 +116,10 @@ def verify_adequacy(comp: CompAst, sig: GradedSignature,
         return CheckResult("adequacy", False, str(exc))
     if isinstance(final, OpAtTop):
         return CheckResult("adequacy", False, f"suspended on operation {final.op}")
-    if not final.weakens and final.value == StarV() and final.obj == grade.dom:
+    # an identity weakening changes no grade, so it hides no value
+    unweakened = all(pre.is_identity and post.is_identity
+                     for pre, post in final.weakens)
+    if unweakened and final.value == StarV() and final.obj == grade.dom:
         return CheckResult("adequacy", True, "reached val star")
     return CheckResult("adequacy", False, f"terminal is not val {grade.dom} ()")
 
@@ -113,26 +127,16 @@ def verify_adequacy(comp: CompAst, sig: GradedSignature,
 def _uses_weakening(node) -> bool:
     """Whether a weakening occurs in ``node``, in a lambda body inside it or
     in a clause of a handler it installs: each can reach a configuration."""
-    match node:
-        case Var() | StarV():
-            return False
-        case Inl(v, _) | Inr(v, _) | Val(_, v) | OpCall(_, v):
-            return _uses_weakening(v)
-        case Lam(_, _, _, body):
-            return _uses_weakening(body)
-        case Pair(a, b) | App(a, b) | Let(_, a, b) | Proj(a, _, _, b):
-            return _uses_weakening(a) or _uses_weakening(b)
-        case Match(scrut, _, left, _, right):
-            return any(map(_uses_weakening, (scrut, left, right)))
-        case Handle(body, h):
-            clauses = [*h.clauses.values(), *h.defaults.values()]
-            return any(map(_uses_weakening,
-                           (body, h.ret_body, *(c.body for c in clauses))))
-    return True  # Gunit
+    if isinstance(node, Gunit):
+        return True
+    subterms = [child for child, _ in children(node)]
+    if isinstance(node, Handle):
+        subterms += clause_bodies(node.handler)
+    return any(map(_uses_weakening, subterms))
 
 
 def verify_lemma_shapes(comp: CompAst, sig: GradedSignature,
-                        max_steps: int = 100_000) -> CheckResult:
+                        max_steps: int = DEFAULT_MAX_STEPS) -> CheckResult:
     """Progress, preservation and safety along one run.
 
     Every configuration is closed and well-typed, decomposes into exactly
@@ -192,7 +196,8 @@ class TermGenerator:
         self.pure_only = pure_only
         self.handlers = [
             h for h in handler_pool
-            if h.target is sig and all(op in h.defaults for op in h.source.ops)]
+            if h.target is sig and all(op in h.defaults for op in h.source.ops)
+            and not any(map(_uses_weakening, clause_bodies(h)))]
         self._counter = 0
 
     def _fresh(self):
@@ -354,7 +359,7 @@ def generate_unit_programs(sig: GradedSignature, seed: int, count: int,
 # whole-file conformance
 
 def run_conformance(bundle, seed=0, count=200, depth=4,
-                    max_steps=100_000) -> ConformanceReport:
+                    max_steps=DEFAULT_MAX_STEPS) -> ConformanceReport:
     report = ConformanceReport()
     try:
         judgements = check_bundle(bundle)

@@ -38,6 +38,9 @@ from .typecheck import (
 )
 
 
+DEFAULT_MAX_STEPS = 100_000  # rule applications before a run gives up
+
+
 class EvalError(Exception):
     pass
 
@@ -242,8 +245,8 @@ def step(m: CompAst, sig: GradedSignature) -> Optional[CompAst]:
     return _reduce(d) if isinstance(d, RedexAt) else None
 
 
-def steps(m: CompAst, sig: GradedSignature,
-          max_steps: int = 100_000) -> Iterator[tuple[CompAst, Decomposition]]:
+def steps(m: CompAst, sig: GradedSignature, max_steps: int = DEFAULT_MAX_STEPS
+          ) -> Iterator[tuple[CompAst, Decomposition]]:
     """Yield every configuration with its decomposition, from ``m`` to a
     value form or an unhandled operation call.
 
@@ -271,7 +274,8 @@ class Trace:
         return len(self.configs) - 1
 
 
-def run(m: CompAst, sig: GradedSignature, max_steps: int = 100_000) -> Trace:
+def run(m: CompAst, sig: GradedSignature,
+        max_steps: int = DEFAULT_MAX_STEPS) -> Trace:
     """Step until a value form or an unhandled operation call."""
     configs = []
     for config, d in steps(m, sig, max_steps):
@@ -279,5 +283,5 @@ def run(m: CompAst, sig: GradedSignature, max_steps: int = 100_000) -> Trace:
     return Trace(configs, d)
 
 
-def run_program(prog: Program, max_steps: int = 100_000) -> Trace:
+def run_program(prog: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Trace:
     return run(prog.body, prog.signature, max_steps)

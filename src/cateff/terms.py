@@ -6,6 +6,11 @@ Handlers are declared at top level and are closed; substitution therefore
 descends into handled computations but never into handler clauses.
 Substitution is of closed values only, as the step engine runs closed
 configurations, so it never renames a binder.
+
+``children`` owns the binding structure: it is the one place that lists the
+subterms of each node and the names the node binds over each.  Walks that
+only look at terms (free variables here, the operations a handler's clauses
+perform in ``typecheck``, weakenings in ``conformance``) are written over it.
 """
 from __future__ import annotations
 
@@ -168,43 +173,49 @@ class TheoryBundle:
 
 
 # ---------------------------------------------------------------------------
-# free variables and substitution
+# binding structure, free variables and substitution
 
-def free_value_vars(v: ValueAst) -> set:
-    match v:
-        case Var(name):
-            return {name}
-        case StarV():
-            return set()
-        case Inl(val, _) | Inr(val, _):
-            return free_value_vars(val)
-        case Pair(left, right):
-            return free_value_vars(left) | free_value_vars(right)
+def children(node) -> tuple:
+    """The immediate subterms of a value or computation, each paired with
+    the names ``node`` binds over it.
+
+    A handle's only subterm is its handled computation: its handler is
+    declared at top level, and ``clause_bodies`` lists the clauses.
+    """
+    match node:
+        case Var() | StarV():
+            return ()
+        case Inl(v, _) | Inr(v, _) | Val(_, v) | OpCall(_, v):
+            return ((v, ()),)
+        case Pair(a, b) | App(a, b):
+            return ((a, ()), (b, ()))
         case Lam(_, var, _, body):
-            return free_comp_vars(body) - {var}
-    raise TypeError(f"not a value: {v!r}")
-
-
-def free_comp_vars(m: CompAst) -> set:
-    match m:
-        case Val(_, v):
-            return free_value_vars(v)
+            return ((body, (var,)),)
         case Let(var, bound, body):
-            return free_comp_vars(bound) | (free_comp_vars(body) - {var})
-        case App(fn, arg):
-            return free_value_vars(fn) | free_value_vars(arg)
-        case OpCall(_, arg):
-            return free_value_vars(arg)
+            return ((bound, ()), (body, (var,)))
         case Proj(pair, x, y, body):
-            return free_value_vars(pair) | (free_comp_vars(body) - {x, y})
+            return ((pair, ()), (body, (x, y)))
         case Match(scrut, x, left, y, right):
-            return free_value_vars(scrut) | (free_comp_vars(left) - {x}) \
-                | (free_comp_vars(right) - {y})
-        case Handle(body, _):
-            return free_comp_vars(body)
-        case Gunit(_, body, _):
-            return free_comp_vars(body)
-    raise TypeError(f"not a computation: {m!r}")
+            return ((scrut, ()), (left, (x,)), (right, (y,)))
+        case Handle(body, _) | Gunit(_, body, _):
+            return ((body, ()),)
+    raise TypeError(f"not a term: {node!r}")
+
+
+def clause_bodies(h: HandlerAst) -> tuple:
+    """The bodies of a handler's return, explicit and default clauses."""
+    return (h.ret_body, *(cl.body for cl in h.clauses.values()),
+            *(cl.body for cl in h.defaults.values()))
+
+
+def free_vars(node) -> set:
+    """The variables occurring free in a value or computation."""
+    if isinstance(node, Var):
+        return {node.name}
+    out = set()
+    for child, bound in children(node):
+        out |= free_vars(child).difference(bound)
+    return out
 
 
 def fresh_name(base: str, avoid) -> str:

@@ -24,6 +24,14 @@ scope of every default clause eagerly, since scope does not depend on k; the
 types and grades of a default clause are checked lazily, once per
 continuation grade demanded at a handle site or met at run time.  Each
 checked clause instance is kept on the handler with its demand.
+
+A handled computation may capture only primitive variables.  When every
+variable of the context is primitive, judging the computation already
+finds any variable the context lacks, so its free variables are walked
+only under a context that binds a non-primitive one.  The operations
+written in a handler's clauses are read off by a walk over
+``terms.children`` that, at a nested handle, goes into the nested
+handler's clause bodies in place of the computation it handles.
 """
 from __future__ import annotations
 
@@ -35,8 +43,8 @@ from .signature import (
 )
 from .terms import (
     App, Clause, CompAst, Gunit, Handle, HandlerAst, Inl, Inr, Lam, Let,
-    Match, OpCall, Pair, Program, Proj, StarV, Val, ValueAst, Var,
-    free_comp_vars, free_value_vars,
+    Match, OpCall, Pair, Program, Proj, StarV, Val, ValueAst, Var, children,
+    clause_bodies, free_vars,
 )
 
 
@@ -157,7 +165,7 @@ def _escaping(v: ValueAst, lams: dict) -> set:
             return set(lams[name][2]) if name in lams else set()
         case Lam(_, _, _, body):
             ops = _ops_syntactically_in(body)
-            for name in free_value_vars(v) & lams.keys():
+            for name in free_vars(v) & lams.keys():
                 ops |= lams[name][2]
             return ops
         case Pair(left, right):
@@ -308,11 +316,14 @@ def _judge_handle(ctx: Ctx, body: CompAst, h: HandlerAst,
         raise CateffTypeError(
             f"handler {h.name} produces {h.target.name} computations, "
             f"used inside {outer_sig.name}")
-    for name in sorted(free_comp_vars(body)):
-        ty = lookup(ctx, name)
-        if not is_primitive(ty):
-            raise NonPrimitiveCapturedVariable(
-                f"handled computation captures {name} of non-primitive type {ty}")
+    if not all(is_primitive(ty) for _, ty in ctx):
+        # otherwise judging the body finds any variable the context lacks
+        for name in sorted(free_vars(body)):
+            ty = lookup(ctx, name)
+            if not is_primitive(ty):
+                raise NonPrimitiveCapturedVariable(
+                    f"handled computation captures {name} of non-primitive "
+                    f"type {ty}")
     # captured variables are primitive, so no let-bound lambda is in scope
     body_type, f, demanded, dynamic_ops = judge(ctx, body, h.source, {})
     if f.cod != h.at_obj:
@@ -380,7 +391,7 @@ def check_handler(h: HandlerAst) -> HandlerAst:
                 f"at the codomain {decl.grade.cod} of the operation grade")
         _check_clause(h, op, k, clause)
     for op, clause in h.defaults.items():
-        unbound = free_comp_vars(clause.body) \
+        unbound = free_vars(clause.body) \
             - {clause.param_var, clause.resume_var}
         if unbound:
             raise UnboundVariable(
@@ -418,7 +429,7 @@ def _check_clause(h: HandlerAst, op: str, k: Morphism, clause: Clause):
         # the rest of the handled computation runs inside this clause, so
         # the operations of later clauses run at grades that this clause's
         # remainder extends by an amount known only at run time
-        for body in _clause_bodies(h):
+        for body in clause_bodies(h):
             dynamic |= _ops_syntactically_in(body)
     h.checked[(op, k)] = (demand, dynamic)
 
@@ -433,58 +444,18 @@ def clause_for(h: HandlerAst, op: str, k: Morphism) -> Clause:
     return clause
 
 
-def _ops_syntactically_in(m: CompAst) -> set:
-    """Names of the ambient signature's operations occurring anywhere in m.
-
-    Descends into values and handler clause bodies; the computation handled
-    by a nested handler is over that handler's source signature and is
-    skipped (its operations are not the ambient handler's business)."""
-    out = set()
-    def go_v(v):
-        match v:
-            case Lam(_, _, _, body):
-                go(body)
-            case Pair(left, right):
-                go_v(left)
-                go_v(right)
-            case Inl(val, _) | Inr(val, _):
-                go_v(val)
-            case _:
-                pass
-    def go(m):
-        match m:
-            case Val(_, v):
-                go_v(v)
-            case OpCall(op, arg):
-                out.add(op)
-                go_v(arg)
-            case Let(_, bound, body):
-                go(bound)
-                go(body)
-            case App(fn, arg):
-                go_v(fn)
-                go_v(arg)
-            case Proj(pair, _, _, body):
-                go_v(pair)
-                go(body)
-            case Match(scrut, _, left, _, right):
-                go_v(scrut)
-                go(left)
-                go(right)
-            case Gunit(_, body, _):
-                go(body)
-            case Handle(_, h2):
-                # inner computation is over another signature; its clause
-                # bodies are over ours
-                for body in _clause_bodies(h2):
-                    go(body)
-    go(m)
-    return out
-
-
-def _clause_bodies(h: HandlerAst) -> tuple:
-    return (h.ret_body, *(cl.body for cl in h.clauses.values()),
-            *(cl.body for cl in h.defaults.values()))
+def _ops_syntactically_in(node) -> set:
+    """Names of the ambient signature's operations written anywhere in
+    ``node``, lambda bodies included.  A nested handler's handled
+    computation is over that handler's source signature, so at a handle the
+    walk takes the handler's clause bodies, which are over ours, in its
+    place."""
+    ops = {node.op} if isinstance(node, OpCall) else set()
+    subterms = clause_bodies(node.handler) if isinstance(node, Handle) \
+        else (child for child, _ in children(node))
+    for sub in subterms:
+        ops |= _ops_syntactically_in(sub)
+    return ops
 
 
 # ---------------------------------------------------------------------------

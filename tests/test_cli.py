@@ -295,3 +295,32 @@ def test_conform_fails_on_a_clause_failing_at_run_time(late_clause, capsys):
     assert "FAIL soundness[late]: handler h: clause for act" in out
     assert "FAIL lemma-shapes[late]: preservation broken: handler h" in out
     assert "PASS generated[S]" in out
+
+
+HASH_SEED_SCRIPT = """
+import sys
+from cateff.cli import main
+status = 0
+for path in sys.argv[1:]:
+    for command in (["run", "--trace"], ["denote", "--json"],
+                    ["conform", "--count", "40", "--json-report"]):
+        status |= main([*command, path])
+sys.exit(status)
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # the checker and the walks over terms build sets of names and of
+    # operations; none of their iteration orders may reach the output
+    paths = [theory_path(name)
+             for name in ("session", "pair_handler", "mutstore", "widened")]
+    src = str(Path(cateff.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT, *paths],
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0].count(b'"ok": true') == 4  # every report was printed
+    assert outputs[0] == outputs[1]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cateff.conformance import (
-    generate_unit_programs, generate_wellgraded_terms,
+    TermGenerator, generate_unit_programs, generate_wellgraded_terms,
     run_conformance, verify_adequacy, verify_lemma_shapes,
     verify_soundness_along_trace,
 )
@@ -187,6 +187,37 @@ def test_lemma_shapes_finds_weakenings_inside_values_and_clauses(name):
     res = verify_lemma_shapes(prog.body, prog.signature)
     assert res.passed, res.detail
     assert "weakening" in res.detail
+
+
+def test_generator_draws_no_handler_whose_clauses_weaken():
+    # a handled term may be let-bound, and a weakened value feeding a let
+    # has no rule: drawing w once made term 75 of this corpus block
+    bundle = parse_bundle(theory_text("widened") + HIDDEN_WEAKENINGS)
+    gen = TermGenerator(bundle.signatures["SubSig"], 0,
+                        tuple(bundle.handlers.values()))
+    assert gen.handlers == []
+    report = run_conformance(bundle, seed=0, count=150, depth=4)
+    assert report.ok, [r.line() for r in report.results if not r.passed]
+
+
+IDENTITY_WEAKENING = """
+functor I : Sub -> Sub { obj lo => lo; obj hi => hi; gen up => up; gen eff => eff; }
+handler w over SubSig to SubSig via I at hi : 1 => 1 {
+  return x => weaken id(hi) { val hi x } id(hi);
+  op tick(p), r => r ();
+}
+program idw over SubSig : 1 @ id(hi) { handle (val hi ()) with w }
+"""
+
+
+def test_adequacy_accepts_a_star_under_identity_weakenings():
+    bundle = parse_bundle(theory_text("widened") + IDENTITY_WEAKENING)
+    prog = bundle.programs["idw"]
+    res = verify_adequacy(prog.body, prog.signature)
+    assert res.passed, res.detail
+    assert res.detail == "reached val star"
+    report = run_conformance(bundle, seed=0, count=40, depth=4)
+    assert report.ok, [r.line() for r in report.results if not r.passed]
 
 
 @pytest.mark.parametrize("theory",["session", "pair_handler", "mutstore", "widened"])

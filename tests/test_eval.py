@@ -9,7 +9,7 @@ from cateff.eval import (
 from cateff.parser import parse_bundle
 from cateff.terms import (
     App, Handle, Inl, Inr, Lam, Let, OpCall, Pair, StarV, Val, Var,
-    free_comp_vars, pp_comp,
+    free_vars, pp_comp,
 )
 from cateff.typecheck import MissingClause, check_bundle
 from conftest import theory_text
@@ -108,7 +108,7 @@ def test_every_configuration_is_closed(theory):
             sig, seed=0, count=100, depth=4, handler_pool=pool)]
     for m, sig in programs:
         for config, _ in steps(m, sig):
-            assert free_comp_vars(config) == set()
+            assert free_vars(config) == set()
 
 
 def test_golden_pair_trace_step_count_and_result(pair_bundle):

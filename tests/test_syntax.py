@@ -1,13 +1,17 @@
 import random
+from typing import get_args
 
 import pytest
 
+from cateff.grading import GradingCategory
 from cateff.parser import (
     KEYWORDS, SYMBOLS, CeffSyntaxError, UnboundName, parse_bundle, tokenize,
 )
+from cateff.signature import UNIT, Sum
 from cateff.terms import (
-    App, Inl, Lam, Let, Match, OpCall, Pair, Proj, StarV, Val, Var,
-    free_comp_vars, pp_bundle, pp_comp, pp_value, substitute,
+    App, CompAst, Gunit, Handle, Inl, Inr, Lam, Let, Match, OpCall, Pair,
+    Proj, StarV, Val, ValueAst, Var, children, free_vars, pp_bundle, pp_comp,
+    pp_value, substitute,
 )
 from conftest import theory_text
 
@@ -276,8 +280,50 @@ def test_free_vars_shrink_under_substitution():
     for _ in range(200):
         m = _random_open_comp(rng, 3, ["u", "v"])
         out = substitute(m, {"u": StarV()})
-        assert "u" not in free_comp_vars(out)
-        assert free_comp_vars(out) <= (free_comp_vars(m) - {"u"})
+        assert "u" not in free_vars(out)
+        assert free_vars(out) <= (free_vars(m) - {"u"})
+
+
+def test_children_knows_every_node_class():
+    bundle = parse_bundle(theory_text("pair_handler"))
+    handler = bundle.handlers["pairup"]
+    idpt = handler.target.category.identity("pt")
+    unit = Val("pt", StarV())
+    samples = [
+        Var("x"), StarV(), Inl(StarV(), Sum(UNIT, UNIT)),
+        Inr(StarV(), Sum(UNIT, UNIT)), Pair(Var("x"), StarV()),
+        Lam(idpt, "x", UNIT, unit), unit, Let("x", unit, unit),
+        App(Var("f"), StarV()), OpCall("op", StarV()),
+        Proj(Var("p"), "x", "y", unit), Match(Var("s"), "x", unit, "y", unit),
+        Handle(unit, handler), Gunit(idpt, unit, idpt),
+    ]
+    classes = {*get_args(ValueAst), *get_args(CompAst)}
+    assert {type(node) for node in samples} == classes
+    for node in samples:
+        for child, bound in children(node):
+            assert type(child) in classes and isinstance(bound, tuple)
+
+
+# every subterm mentions x, y and z; only the binder's scope loses its names
+_IDA = GradingCategory("C", ("a",), (), (), ()).identity("a")
+_XYZ = Val("a", Pair(Var("x"), Pair(Var("y"), Var("z"))))
+_UNIT = Val("a", StarV())
+
+
+@pytest.mark.parametrize("term, free", [
+    (Let("x", _XYZ, _XYZ), {"x", "y", "z"}),
+    (Let("x", _UNIT, _XYZ), {"y", "z"}),
+    (Val("a", Lam(_IDA, "x", UNIT, _XYZ)), {"y", "z"}),
+    (Proj(Var("x"), "x", "q", _XYZ), {"x", "y", "z"}),
+    (Proj(Var("w"), "x", "q", _XYZ), {"w", "y", "z"}),
+    (Proj(Var("w"), "q", "y", _XYZ), {"w", "x", "z"}),
+    (Match(Var("x"), "x", _XYZ, "q", _UNIT), {"x", "y", "z"}),
+    (Match(Var("w"), "x", _XYZ, "y", _UNIT), {"w", "y", "z"}),
+    (Match(Var("w"), "x", _UNIT, "y", _XYZ), {"w", "x", "z"}),
+], ids=["let-bound", "let-body", "fun", "split-pair", "split-left",
+        "split-right", "case-scrutinee", "case-inl", "case-inr"])
+def test_free_vars_drops_exactly_the_bound_names(term, free):
+    assert free_vars(term) == free
 
 
 def test_pretty_print_value_forms():
