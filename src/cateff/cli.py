@@ -162,6 +162,9 @@ def main(argv=None) -> int:
         print(f"error: {args.file}: program nests too deeply for cateff",
               file=sys.stderr)
         return 1
+    except GradingError as exc:  # a rewrite the load-time probe let through
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # the reader went away; send what Python flushes at exit nowhere
         devnull = os.open(os.devnull, os.O_WRONLY)

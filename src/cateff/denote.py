@@ -91,7 +91,7 @@ def denote_computation(names: tuple, m: CompAst, env: tuple,
                                           env + (sv.val,), sig)
             raise DenoteError("case on a non-sum denotation")
         case Handle(body, handler):
-            fold = denote_handler(handler, names, env)
+            fold = denote_handler(handler)
             return fold(denote_computation(names, body, env, handler.source))
         case Gunit(pre, body, post):
             tree = denote_computation(names, body, env, sig)
@@ -102,13 +102,15 @@ def denote_computation(names: tuple, m: CompAst, env: tuple,
     raise DenoteError(f"not a computation: {m!r}")
 
 
-def denote_handler(h: HandlerAst, names: tuple = (), env: tuple = ()):
+def denote_handler(h: HandlerAst):
     """The fold over handled-theory trees determined by a handler's clauses.
 
     Leaves go through the return clause; an operation node at continuation
     grade k goes through the clause selected for (op, k), with the folded
     children packaged as the resumption function.  Coercion nodes are
-    re-coerced along the grading functor.
+    re-coerced along the grading functor.  Handlers are declared at top level
+    and checked as closed, so a clause body is denoted in the environment of
+    its own binders only.
     """
     target = h.target
     target_cat = target.category
@@ -121,8 +123,8 @@ def denote_handler(h: HandlerAst, names: tuple = (), env: tuple = ()):
                     raise DenoteError(
                         f"handler {h.name} folds trees at {h.at_obj}, "
                         f"found a leaf at {obj}")
-                return denote_computation(names + (h.ret_var,), h.ret_body,
-                                          env + (v,), target)
+                return denote_computation((h.ret_var,), h.ret_body, (v,),
+                                          target)
             case Node(op, _, param, k, children):
                 try:
                     clause = clause_for(h, op, k)
@@ -137,10 +139,8 @@ def denote_handler(h: HandlerAst, names: tuple = (), env: tuple = ()):
                     index = {v: i for i, v in enumerate(enumerate_type(decl.arity))}
                     arity_index[op] = index
                 rfun = FunV(lambda i, _ch=children: fold(_ch[index[i]]))
-                clause_names = names + (clause.param_var, clause.resume_var)
-                clause_env = env + (param, rfun)
-                return denote_computation(clause_names, clause.body,
-                                          clause_env, target)
+                return denote_computation((clause.param_var, clause.resume_var),
+                                          clause.body, (param, rfun), target)
             case Coerce(r, child):
                 gr = h.functor.apply(r)
                 if not (gr.is_identity or target_cat.is_wide(gr)):

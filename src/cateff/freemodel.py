@@ -52,17 +52,15 @@ class Coerce:
 TermTree = Leaf | Node | Coerce
 
 
-def grade_of(t: TermTree, cat=None) -> Morphism:
-    """The grade of a tree; ``cat`` supplies identities for bare leaves."""
+def grade_of(t: TermTree, cat) -> Morphism:
+    """The grade of a tree in ``cat``, whose identities grade bare leaves."""
     match t:
         case Leaf(obj, _):
-            if cat is None:
-                raise FreeModelError("grade of a bare leaf needs the category")
             return cat.identity(obj)
         case Node(_, op_grade, _, k, _):
             return compose(op_grade, k)
         case Coerce(r, child):
-            return compose(r, grade_of(child, r.cat))
+            return compose(r, grade_of(child, cat))
     raise FreeModelError(f"not a term tree: {t!r}")
 
 

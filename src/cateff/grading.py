@@ -104,9 +104,13 @@ class GradingCategory:
                 raise EndpointMismatch(
                     f"rule {'.'.join(rule.lhs)} = {'.'.join(rule.rhs)}: "
                     "sides have different endpoints")
-        # termination probe on all composable generator pairs and triples
+        # termination probe on all composable generator pairs and triples and
+        # on every left-hand side; termination is undecidable, so a rewrite
+        # that still overruns STEP_CAP after loading is an error of its own
         for path in self._composable_paths(3):
             self.normalize(path)
+        for rule in self.rules:
+            self.normalize(rule.lhs)
         # local confluence on composable paths up to CONFLUENCE_LEN
         for path in self._composable_paths(CONFLUENCE_LEN):
             reducts = self._one_step_reducts(path)
@@ -187,16 +191,10 @@ class GradingCategory:
             raise UnknownObject(f"no object {obj!r} in category {self.name}")
         return Morphism(self, obj, obj, ())
 
-    def morphism(self, path, dom=None):
-        """Build the morphism for a generator path (empty path = identity)."""
+    def morphism(self, path):
+        """Build the morphism for a nonempty generator path."""
         path = tuple(path)
-        if not path:
-            if dom is None:
-                raise GradingError("identity morphism needs an object")
-            return self.identity(dom)
         a, b = self._path_endpoints(path)
-        if dom is not None and dom != a:
-            raise NotComposable(f"path starts at {a}, expected {dom}")
         return Morphism(self, a, b, self.normalize(path))
 
     def is_wide(self, m):

@@ -295,7 +295,9 @@ def substitute(m: CompAst, subs: dict) -> CompAst:
 
 
 # ---------------------------------------------------------------------------
-# pretty-printing (the parser inverts this exactly)
+# pretty-printing of values, computations and types (the parser inverts this
+# exactly); handlers are closed top-level declarations, so a ``handle`` prints
+# its handler by name and reparses within the file that declares it
 
 def pp_path(m: Morphism) -> str:
     if m.is_identity:
@@ -351,71 +353,3 @@ def pp_comp(m: CompAst) -> str:
         case Gunit(pre, body, post):
             return f"weaken {pp_path(pre)} {{ {pp_comp(body)} }} {pp_path(post)}"
     raise TypeError(f"not a computation: {m!r}")
-
-
-def pp_handler(h: HandlerAst) -> str:
-    lines = [f"handler {h.name} over {h.source.name} to {h.target.name} "
-             f"via {h.functor.name} at {h.at_obj} : "
-             f"{pp_type(h.in_type)} => {pp_type(h.out_type)} {{"]
-    lines.append(f"  return {h.ret_var} => {pp_comp(h.ret_body)};")
-    for (op, k), cl in h.clauses.items():
-        lines.append(f"  op {op}({cl.param_var}), {cl.resume_var} @ {pp_path(k)} "
-                     f"=> {pp_comp(cl.body)};")
-    for op, cl in h.defaults.items():
-        lines.append(f"  op {op}({cl.param_var}), {cl.resume_var} "
-                     f"=> {pp_comp(cl.body)};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def pp_category(cat: GradingCategory) -> str:
-    lines = [f"category {cat.name} {{"]
-    lines.append(f"  objects {', '.join(cat.objects)};")
-    for gen in cat.generators.values():
-        lines.append(f"  gen {gen.name} : {gen.dom} -> {gen.cod};")
-    for rule in cat.rules:
-        lhs = ".".join(rule.lhs)
-        if rule.rhs:
-            rhs = ".".join(rule.rhs)
-        else:
-            dom = cat.generators[rule.lhs[0]].dom
-            rhs = f"id({dom})"
-        lines.append(f"  rule {lhs} = {rhs};")
-    if cat.wide:
-        lines.append(f"  wide {', '.join(sorted(cat.wide))};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def pp_functor(fn: GradingFunctor) -> str:
-    lines = [f"functor {fn.name} : {fn.source.name} -> {fn.target.name} {{"]
-    for obj in fn.source.objects:
-        lines.append(f"  obj {obj} => {fn.object_map[obj]};")
-    for gname, img in fn.generator_map.items():
-        lines.append(f"  gen {gname} => {pp_path(img)};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def pp_signature(sig: GradedSignature) -> str:
-    lines = [f"signature {sig.name} over {sig.category.name} {{"]
-    for op in sig.ops.values():
-        lines.append(f"  op {op.name} : {pp_type(op.param)} ~> {pp_type(op.arity)} "
-                     f"@ {pp_path(op.grade)};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def pp_program(p: Program) -> str:
-    return (f"program {p.name} over {p.signature.name} : {pp_type(p.ann_type)} "
-            f"@ {pp_path(p.ann_grade)} {{\n  {pp_comp(p.body)}\n}}")
-
-
-def pp_bundle(b: TheoryBundle) -> str:
-    parts = []
-    parts.extend(pp_category(c) for c in b.categories.values())
-    parts.extend(pp_functor(f) for f in b.functors.values())
-    parts.extend(pp_signature(s) for s in b.signatures.values())
-    parts.extend(pp_handler(h) for h in b.handlers.values())
-    parts.extend(pp_program(p) for p in b.programs.values())
-    return "\n\n".join(parts) + "\n"

@@ -49,8 +49,8 @@ def morphisms_from(cat, obj, max_len):
             cod = obj if not path else cat.generators[path[-1]].cod
             for gen in by_dom.get(cod, ()):
                 norm = cat.normalize(path + (gen.name,))
-                if norm not in found:
-                    found[norm] = cat.morphism(norm, dom=obj)
+                if norm not in found:  # an empty normal form is found[()]
+                    found[norm] = cat.morphism(norm)
                     nxt.append(norm)
         frontier = nxt
     return sorted(found.values(), key=lambda m: (len(m.path), m.path))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import cateff
+from cateff import grading
 from cateff.cli import main
 from conftest import theory_path
 
@@ -83,7 +84,13 @@ def test_unparsable_file_exits_one(tmp_path, capsys):
     ("category C { objects a; gen g : a -> a; }\n"
      "signature S over C { op t : 1 ~> 1 @ g; op t : 1 ~> 1 @ g; }",
      "invalid signature S: operation 't' declared twice at 2:1"),
-], ids=["token", "unknown_object", "duplicate_op"])
+    # no path of length <= 3 meets a rule, so only the probe of the
+    # left-hand sides sees that they rewrite into each other
+    ("category C { objects s; gen a : s -> s; gen b : s -> s;\n"
+     "gen c : s -> s; gen d : s -> s;\n"
+     "rule a.b.c.d = d.c.b.a; rule d.c.b.a = a.b.c.d; }",
+     "invalid category C: rewriting of a.b.c.d exceeded 10000 steps at 1:1"),
+], ids=["token", "unknown_object", "duplicate_op", "nonterminating_lhs"])
 def test_load_error_names_the_file(text, message, tmp_path, capsys):
     path = tmp_path / "bad.ceff"
     path.write_text(text, encoding="utf-8")
@@ -91,6 +98,26 @@ def test_load_error_names_the_file(text, message, tmp_path, capsys):
         main(["check", str(path)])
     assert exc.value.code == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "run", "denote"])
+def test_rewrite_overrun_after_loading_is_an_error_line(command, tmp_path,
+                                                         capsys, monkeypatch):
+    # a.b = b.a terminates, but moving the a of a.b.b.b.b past four b's takes
+    # four rewrites; with a cap of 3 the probe passes and the checker overruns
+    monkeypatch.setattr(grading, "STEP_CAP", 3)
+    path = tmp_path / "comm.ceff"
+    path.write_text("""
+    category C { objects s; gen a : s -> s; gen b : s -> s; rule a.b = b.a; }
+    signature S over C { op pa : 1 ~> 1 @ a; op pb : 1 ~> 1 @ b; }
+    program p over S : 1 @ b.b.b.b.a {
+      let x <- do pa(()) in let y <- do pb(()) in let z <- do pb(()) in
+      let w <- do pb(()) in do pb(())
+    }
+    """, encoding="utf-8")
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: rewriting of a.b.b.b.b exceeded 3 steps\n")
 
 
 def test_a_closed_stdout_ends_quietly(tmp_path):

@@ -1,5 +1,5 @@
 """Source hygiene: no module imports a name it never uses, and the package
-defines nothing that no code names.
+defines nothing that only tests name.
 
 The checks read the AST, so they need no linter.  An imported name counts
 as used when it is loaded anywhere in the module, appears in a string
@@ -81,7 +81,9 @@ def _named(node):
 
 
 def test_no_dead_definitions():
-    readers = [*FILES, *(ROOT / "perfbench").glob("*.py")]
+    # tests are not users: a definition stays only if the package itself or
+    # the benchmark names it
+    readers = [*PACKAGE, *(ROOT / "perfbench").glob("*.py")]
     statements = [(path, stmt) for path in readers
                   for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
     named = [_named(stmt) for _, stmt in statements]
