@@ -108,12 +108,11 @@ def denote_handler(h: HandlerAst):
     Leaves go through the return clause; an operation node at continuation
     grade k goes through the clause selected for (op, k), with the folded
     children packaged as the resumption function.  Coercion nodes are
-    re-coerced along the grading functor.  Handlers are declared at top level
-    and checked as closed, so a clause body is denoted in the environment of
-    its own binders only.
+    re-coerced along the grading functor, which keeps them wide.  Handlers
+    are declared at top level and checked as closed, so a clause body is
+    denoted in the environment of its own binders only.
     """
     target = h.target
-    target_cat = target.category
     arity_index: dict = {}
 
     def fold(t: TermTree) -> TermTree:
@@ -142,12 +141,7 @@ def denote_handler(h: HandlerAst):
                 return denote_computation((clause.param_var, clause.resume_var),
                                           clause.body, (param, rfun), target)
             case Coerce(r, child):
-                gr = h.functor.apply(r)
-                if not (gr.is_identity or target_cat.is_wide(gr)):
-                    raise DenoteError(
-                        f"functor {h.functor.name} sends coercion {r} outside "
-                        f"the wide subcategory of {target_cat.name}")
-                return coerce(gr, fold(child))
+                return coerce(h.functor.apply(r), fold(child))
         raise DenoteError(f"not a term tree: {t!r}")
 
     return fold

@@ -2,15 +2,15 @@
 
 A category is presented by objects, named generators and oriented rewrite
 rules between generator paths.  Morphisms are kept in normal form (leftmost
-rewriting to a fixpoint), so equality is string equality of paths.  Functors
-between presentations live here too.
+rewriting to a fixpoint), so equality is string equality of paths.  Loading
+checks every critical pair, which makes terminating rules confluent (Newman's
+lemma).  Wide generators generate a subcategory, which functors must keep.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 STEP_CAP = 10_000  # rewrite steps before normalization is deemed divergent
-CONFLUENCE_LEN = 4  # longest path whose local confluence is checked at load
 
 
 class GradingError(Exception):
@@ -111,16 +111,19 @@ class GradingCategory:
             self.normalize(path)
         for rule in self.rules:
             self.normalize(rule.lhs)
-        # local confluence on composable paths up to CONFLUENCE_LEN
-        for path in self._composable_paths(CONFLUENCE_LEN):
-            reducts = self._one_step_reducts(path)
-            if len(reducts) <= 1:
-                continue
-            normals = {self.normalize(r) for r in reducts}
+        for path, left, right in self._critical_pairs():
+            normals = {self.normalize(left), self.normalize(right)}
             if len(normals) > 1:
                 raise NotLocallyConfluent(
                     f"path {'.'.join(path)} rewrites to distinct normal forms "
                     f"{sorted('.'.join(n) or 'id' for n in normals)}")
+        # the all-wide normal forms are closed under composition exactly when
+        # every all-wide left-hand side normalizes to an all-wide path
+        for rule in self.rules:
+            normal = self.normalize(rule.lhs)
+            if self.wide.issuperset(rule.lhs) and not self.wide.issuperset(normal):
+                raise GradingError(f"wide path {'.'.join(rule.lhs)} equals "
+                                   f"{'.'.join(normal)}, which is not wide")
 
     def _path_endpoints(self, path):
         prev_cod = None
@@ -135,30 +138,28 @@ class GradingCategory:
         return self.generators[path[0]].dom, prev_cod
 
     def _composable_paths(self, max_len):
-        by_dom: dict[str, list[Generator]] = {}
+        by_dom: dict[str, list[str]] = {}
         for gen in self.generators.values():
-            by_dom.setdefault(gen.dom, []).append(gen)
-        frontier = [(g.name,) for g in self.generators.values()]
-        for path in frontier:
-            yield path
+            by_dom.setdefault(gen.dom, []).append(gen.name)
+        paths = [(name,) for name in self.generators]
         for _ in range(max_len - 1):
-            nxt = []
-            for path in frontier:
-                cod = self.generators[path[-1]].cod
-                for gen in by_dom.get(cod, ()):
-                    nxt.append(path + (gen.name,))
-            for path in nxt:
-                yield path
-            frontier = nxt
+            yield from paths
+            paths = [path + (name,) for path in paths
+                     for name in by_dom.get(self.generators[path[-1]].cod, ())]
+        yield from paths
 
-    def _one_step_reducts(self, path):
-        reducts = []
-        for pos in range(len(path)):
-            for rule in self.rules:
-                end = pos + len(rule.lhs)
-                if path[pos:end] == rule.lhs:
-                    reducts.append(path[:pos] + rule.rhs + path[end:])
-        return reducts
+    def _critical_pairs(self):
+        """Each word where two left-hand sides meet (one inside the other, or
+        a suffix of one overlapping a prefix of the other), with both reducts."""
+        rules = [(r.lhs, r.rhs) for r in self.rules]
+        for i, (l1, r1) in enumerate(rules):
+            for j, (l2, r2) in enumerate(rules):
+                for p in range(len(l1) - len(l2) + 1):
+                    if i != j and l1[p:p + len(l2)] == l2:
+                        yield l1, r1, l1[:p] + r2 + l1[p + len(l2):]
+                for k in range(1, min(len(l1), len(l2))):
+                    if l1[-k:] == l2[:k]:
+                        yield l1 + l2[k:], r1 + l2[k:], l1[:-k] + r2
 
     # -- morphisms --------------------------------------------------------
 
@@ -257,6 +258,10 @@ class GradingFunctor:
             if (img.dom, img.cod) != (self.object_map[gen.dom], self.object_map[gen.cod]):
                 raise EndpointMismatch(
                     f"functor {name}: image of {gname} has wrong endpoints")
+            if gname in source.wide and not target.is_wide(img):
+                raise GradingError(
+                    f"functor {name} sends wide generator {gname} to {img}, "
+                    "which is not wide")
             self.generator_map[gname] = img
         self._check_rules()
         self._cache: dict[tuple[str, tuple[str, ...]], Morphism] = {}

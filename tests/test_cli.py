@@ -90,7 +90,22 @@ def test_unparsable_file_exits_one(tmp_path, capsys):
      "gen c : s -> s; gen d : s -> s;\n"
      "rule a.b.c.d = d.c.b.a; rule d.c.b.a = a.b.c.d; }",
      "invalid category C: rewriting of a.b.c.d exceeded 10000 steps at 1:1"),
-], ids=["token", "unknown_object", "duplicate_op", "nonterminating_lhs"])
+    # the left-hand sides overlap only on a path of length 5
+    ("category C { objects s; gen a : s -> s; gen b : s -> s; gen c : s -> s;\n"
+     "gen d : s -> s; gen e : s -> s; gen f : s -> s;\n"
+     "rule a.b.c = d; rule c.e.b = f; }",
+     "invalid category C: path a.b.c.e.b rewrites to distinct normal forms "
+     "['a.b.f', 'd.e.b'] at 1:1"),
+    ("category Sub { objects lo; gen u : lo -> lo; gen e : lo -> lo; wide u;\n"
+     "rule u.u = e; rule e.u = u.e; }",
+     "invalid category Sub: wide path u.u equals e, which is not wide at 1:1"),
+    ("category S { objects lo, hi; gen w : lo -> hi; wide w; }\n"
+     "category T { objects x, y; gen q : x -> y; }\n"
+     "functor G : S -> T { obj lo => x; obj hi => y; gen w => q; }",
+     "invalid functor G: functor G sends wide generator w to q, "
+     "which is not wide at 3:1"),
+], ids=["token", "unknown_object", "duplicate_op", "nonterminating_lhs",
+        "nonconfluent_overlap", "wide_not_closed", "functor_leaves_wide"])
 def test_load_error_names_the_file(text, message, tmp_path, capsys):
     path = tmp_path / "bad.ceff"
     path.write_text(text, encoding="utf-8")

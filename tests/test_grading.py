@@ -1,8 +1,13 @@
+import re
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cateff.grading import (
-    EndpointMismatch, GradingFunctor, NonTerminatingRules, NotComposable,
-    NotLocallyConfluent, UnknownGenerator, build_category, compose,
+    EndpointMismatch, GradingCategory, GradingFunctor, NonTerminatingRules,
+    NotComposable, NotLocallyConfluent, UnknownGenerator, build_category,
+    compose,
 )
 from conftest import morphisms_from, pair_completion, pair_name
 
@@ -43,11 +48,90 @@ def test_growing_rule_is_rejected_as_nonterminating():
 
 
 def test_ambiguous_rules_rejected_as_nonconfluent():
-    with pytest.raises(NotLocallyConfluent):
+    message = "path g.h rewrites to distinct normal forms ['k1', 'k2']"
+    with pytest.raises(NotLocallyConfluent, match=re.escape(message)):
         build_category("Amb", ["a"],
                        [("g", "a", "a"), ("h", "a", "a"),
                         ("k1", "a", "a"), ("k2", "a", "a")],
                        rules=[(("g", "h"), ("k1",)), (("g", "h"), ("k2",))])
+
+
+class Unchecked(GradingCategory):
+    """A presentation loaded without its load-time checks."""
+
+    def _validate(self):
+        pass
+
+
+def probe_accepts(cat):
+    """The local-confluence probe that critical pairs replaced: no composable
+    path up to length 4 has one-step reducts with distinct normal forms."""
+    for path in cat._composable_paths(4):
+        reducts = {path[:p] + rule.rhs + path[p + len(rule.lhs):]
+                   for p in range(len(path)) for rule in cat.rules
+                   if path[p:p + len(rule.lhs)] == rule.lhs}
+        if len({cat.normalize(r) for r in reducts}) > 1:
+            return False
+    return True
+
+
+def critical_pairs_accept(objects, gens, rules):
+    try:
+        build_category("P", objects, gens, rules)
+    except NotLocallyConfluent:
+        return False
+    return True
+
+
+@st.composite
+def presentations(draw, max_lhs):
+    """1-2 objects, 1-4 generators and up to 4 rules whose right-hand side is
+    shorter than their left-hand side, so that rewriting terminates."""
+    objects = ("o0", "o1")[:draw(st.integers(1, 2))]
+    gens = [(f"g{i}", draw(st.sampled_from(objects)),
+             draw(st.sampled_from(objects)))
+            for i in range(draw(st.integers(1, 4)))]
+    free = Unchecked("P", objects, gens)
+    ends = {path: free._path_endpoints(path)
+            for path in free._composable_paths(max_lhs)}
+    rules = []
+    for _ in range(draw(st.integers(0, 4))):
+        lhs = draw(st.sampled_from(sorted(ends)))
+        rhs = [p for p in ends if len(p) < len(lhs) and ends[p] == ends[lhs]]
+        if ends[lhs][0] == ends[lhs][1]:
+            rhs.append(())
+        if rhs:
+            rules.append((lhs, draw(st.sampled_from(sorted(rhs)))))
+    return objects, gens, rules
+
+
+PROPERTY = settings(max_examples=500, derandomize=True, database=None,
+                    deadline=None)
+
+
+@PROPERTY
+@given(presentations(max_lhs=2))
+def test_critical_pairs_agree_with_the_path_probe_on_short_rules(pres):
+    # every critical pair of rules this short lies on a path of length <= 3
+    assert critical_pairs_accept(*pres) == probe_accepts(Unchecked("P", *pres))
+
+
+@PROPERTY
+@given(presentations(max_lhs=3))
+def test_critical_pairs_never_accept_what_the_path_probe_rejects(pres):
+    # the rules terminate, so by Newman's lemma a path with two normal forms
+    # makes some critical pair fail
+    if not probe_accepts(Unchecked("P", *pres)):
+        assert not critical_pairs_accept(*pres)
+
+
+def test_thirty_generators_load_in_under_a_second():
+    # the path probe this replaced walked all 30^4 paths of length 4 (2 s)
+    gens = [(f"g{i}", "s", "s") for i in range(30)]
+    rules = [((f"g{i}", f"g{i + 1}"), ()) for i in (0, 2, 4)]
+    start = time.perf_counter()
+    build_category("Many", ["s"], gens, rules)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_compose_unit_laws():
@@ -181,6 +265,14 @@ def test_functor_must_respect_rules():
 
 
 # -- wide subcategories -------------------------------------------------------
+
+def test_functor_may_send_a_wide_generator_to_an_identity():
+    source = build_category("W", ["a", "b"], [("u", "a", "b")], wide=["u"])
+    point = point_category()
+    G = GradingFunctor("Flat", source, point, {"a": "pt", "b": "pt"},
+                       {"u": point.identity("pt")})
+    assert G.apply(source.morphism(("u",))).is_identity
+
 
 def test_wide_membership_is_by_marked_generators():
     cat = build_category("Sub", ["lo", "hi"],

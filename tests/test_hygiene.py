@@ -1,5 +1,5 @@
 """Source hygiene: no module imports a name it never uses, and the package
-defines nothing that only tests name.
+defines nothing, not even a method, that only tests name.
 
 The checks read the AST, so they need no linter.  An imported name counts
 as used when it is loaded anywhere in the module, appears in a string
@@ -80,17 +80,31 @@ def _named(node):
     return names
 
 
+def _methods(stmt):
+    """The non-dunder methods of the class ``stmt`` defines, if it is one."""
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [node for node in stmt.body if isinstance(node, ast.FunctionDef)
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
 def test_no_dead_definitions():
     # tests are not users: a definition stays only if the package itself or
-    # the benchmark names it
+    # the benchmark names it outside the definition
     readers = [*PACKAGE, *(ROOT / "perfbench").glob("*.py")]
     statements = [(path, stmt) for path in readers
                   for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
     named = [_named(stmt) for _, stmt in statements]
     dead = []
     for i, (path, stmt) in enumerate(statements):
-        name = _defined(stmt) if path in PACKAGE else None
-        if name and not any(name in names for j, names in enumerate(named)
-                            if j != i):
-            dead.append(f"{path.relative_to(ROOT)}:{stmt.lineno}: {name}")
+        if path not in PACKAGE:
+            continue
+        elsewhere = [names for j, names in enumerate(named) if j != i]
+        defined = [(stmt, _defined(stmt), elsewhere)]
+        for method in _methods(stmt):
+            siblings = [_named(node) for node in stmt.body if node is not method]
+            defined.append((method, method.name, elsewhere + siblings))
+        dead += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                 for node, name, others in defined
+                 if name and not any(name in names for names in others)]
     assert dead == []
