@@ -17,7 +17,7 @@ from .terms import (
     App, CompAst, Gunit, Handle, HandlerAst, Inl, Inr, Lam, Let, Match,
     OpCall, Pair, Program, Proj, StarV, Val, ValueAst, Var,
 )
-from .typecheck import CateffTypeError, MissingClause, clause_for
+from .typecheck import clause_for
 
 
 class DenoteError(Exception):
@@ -125,13 +125,7 @@ def denote_handler(h: HandlerAst):
                 return denote_computation((h.ret_var,), h.ret_body, (v,),
                                           target)
             case Node(op, _, param, k, children):
-                try:
-                    clause = clause_for(h, op, k)
-                except MissingClause:
-                    raise
-                except CateffTypeError as exc:
-                    # a default clause first met at this k failed its check
-                    raise DenoteError(str(exc)) from exc
+                clause = clause_for(h, op, k)
                 decl = h.source[op]
                 index = arity_index.get(op)
                 if index is None:

@@ -33,9 +33,7 @@ from .terms import (
     App, CompAst, Gunit, Handle, HandlerAst, Inl, Inr, Lam, Let, Match,
     OpCall, Pair, Program, Proj, Val, ValueAst, Var, fresh_name, substitute,
 )
-from .typecheck import (
-    CateffTypeError, MissingClause, clause_for, grade_of_computation,
-)
+from .typecheck import clause_for, grade_of_computation
 
 
 DEFAULT_MAX_STEPS = 100_000  # rule applications before a run gives up
@@ -215,13 +213,7 @@ def _handle_op(inner: OpAtTop, handler: HandlerAst) -> CompAst:
     sig = handler.source
     decl = sig[inner.op]
     k = continuation_grade(inner.frames, inner.op, sig)
-    try:
-        clause = clause_for(handler, inner.op, k)
-    except MissingClause:
-        raise
-    except CateffTypeError as exc:
-        # a default clause first met at this k failed its check
-        raise Stuck(str(exc)) from exc
+    clause = clause_for(handler, inner.op, k)
     gk = handler.functor.apply(k)
     c = decl.grade.cod
     # a checked clause body mentions only its parameter and resumption

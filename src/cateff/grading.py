@@ -79,7 +79,7 @@ class GradingCategory:
             r if isinstance(r, RewriteRule) else RewriteRule(tuple(r[0]), tuple(r[1]))
             for r in rules)
         self.wide = frozenset(wide)
-        for w in self.wide:
+        for w in wide:  # declaration order picks the name reported
             if w not in self.generators:
                 raise UnknownGenerator(f"wide marking on unknown generator {w!r}")
         self._norm_cache: dict[tuple[str, ...], tuple[str, ...]] = {}

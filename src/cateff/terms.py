@@ -143,9 +143,10 @@ class HandlerAst:
     ret_body: CompAst
     clauses: dict  # (op name, Morphism k) -> Clause
     defaults: dict  # op name -> Clause
-    # (op, k) -> (demand, dynamic operations) of each clause instance the
-    # checker has accepted; None -> the return clause's, once the handler's
-    # eager checks have passed
+    # memo written only by the checker: (op, k) -> (demand, dynamic
+    # operations) of each clause instance it has accepted, (op, None) -> the
+    # default clause's at a dynamically graded call site, None -> the return
+    # clause's, once the handler's eager checks have passed
     checked: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __hash__(self):

@@ -11,19 +11,21 @@ composes the bound's k with the body's grade and a weakening composes it with
 its post-weakening.  A lambda bound by a `let` carries its body's demand to
 every application it heads.  Anywhere else, like any lambda literal that is
 not applied on the spot, it is *dynamic*: every operation written in its body
-may run at a k known only at run time.  A handle site covers its body's
-demand with clause instances and its dynamic operations with default
-clauses; the demand of the handle node itself is that of the covering
-instances and of the return clause.  A clause that goes on after its
-resumption returns, or passes the resumption on, runs the later clauses
-inside its own remainder, so every operation written in the handler's
-clauses is then dynamic.  Outside a handled computation no demand is built.
+may run at a k known only at run time.  A handle site covers its body's demand
+with clause instances and each dynamic operation with all its clauses, a
+default one included; the handle node performs what its covering instances and
+its return clause perform.  A clause that goes on after its resumption
+returns, or passes the resumption on, runs the later clauses inside its own
+remainder, so every operation written in the handler's clauses is then
+dynamic.  Outside a handled computation no demand is built.
 
 Handler checking validates the return clause, every explicit clause and the
-scope of every default clause eagerly, since scope does not depend on k; the
-types and grades of a default clause are checked lazily, once per
-continuation grade demanded at a handle site or met at run time.  Each
-checked clause instance is kept on the handler with its demand.
+scope of every default clause eagerly.  A handle site checks a default clause
+at each continuation grade its body demands and, for each dynamic operation,
+once at the generic grade ``<k>``: no rule mentions it, so the clause then
+checks at every G(k), and a demand graded through ``<k>`` is dynamic.  Each
+checked clause instance is kept on the handler with its demand, so the step
+engine and the denotation only look clauses up.
 
 A handled computation may capture only primitive variables.  When every
 variable of the context is primitive, judging the computation already
@@ -100,6 +102,7 @@ Ctx = tuple  # of (name, Type), rightmost binding wins
 
 _NONE = frozenset()  # demand and dynamic operations outside handled code
 _RESUME = "<resume>"  # not an operation name; see _check_clause
+_K = "<k>"  # not a generator name; see _check_clause
 
 
 @dataclass
@@ -334,24 +337,19 @@ def _judge_handle(ctx: Ctx, body: CompAst, h: HandlerAst,
         raise TypeMismatch(
             f"handled computation has type {body_type}, "
             f"handler {h.name} expects {h.in_type}")
-    instances = sorted(demanded, key=lambda it: (it[0], it[1].dom, it[1].path))
-    for op, k in instances:
-        clause_for(h, op, k)
-    for op in sorted(dynamic_ops):
-        if op not in h.defaults:
-            raise MissingClause(op, None)
+    sites = sorted(demanded, key=lambda it: (it[0], it[1].dom, it[1].path))
+    for op in sorted(dynamic_ops):  # a run may pick any clause for op
+        sites += [key for key in h.clauses if key[0] == op] + [(op, None)]
+    covering = [_check_clause(h, op, k) for op, k in sites]
     grade = h.functor.apply(f)
     if lams is None:
         return h.out_type, grade, _NONE, _NONE
     # the handle node performs what its return clause and its covering
     # clause instances perform, at grades running to the node's end
     demand, dynamic = set(), set()
-    for key in (None, *instances):
-        clause_demand, clause_dynamic = h.checked[key]
+    for clause_demand, clause_dynamic in (h.checked[None], *covering):
         demand |= clause_demand
         dynamic |= clause_dynamic
-    for op in dynamic_ops:
-        dynamic |= _ops_syntactically_in(h.defaults[op].body)
     return h.out_type, grade, demand, dynamic
 
 
@@ -389,7 +387,7 @@ def check_handler(h: HandlerAst) -> HandlerAst:
             raise ClauseGradeMismatch(
                 f"handler {h.name}: clause for {op} at {k} does not start "
                 f"at the codomain {decl.grade.cod} of the operation grade")
-        _check_clause(h, op, k, clause)
+        _check_clause(h, op, k)
     for op, clause in h.defaults.items():
         unbound = free_vars(clause.body) \
             - {clause.param_var, clause.resume_var}
@@ -401,9 +399,22 @@ def check_handler(h: HandlerAst) -> HandlerAst:
     return h
 
 
-def _check_clause(h: HandlerAst, op: str, k: Morphism, clause: Clause):
+def _check_clause(h: HandlerAst, op: str, k: Morphism | None) -> tuple:
+    """Demand and dynamic operations of the clause for ``op`` at continuation
+    grade ``k``, checked once.  With ``k`` None the default clause is checked
+    for a dynamically graded call site, at the generic grade ``<k>``."""
+    if (op, k) in h.checked:
+        return h.checked[(op, k)]
+    clause = clause_for(h, op, k)
     decl = h.source[op]
-    gk = h.functor.apply(k)
+    if k is None:
+        ends = (h.functor.object_map[o] for o in (decl.grade.cod, h.at_obj))
+        gk = Morphism(h.target.category, *ends, (_K,))
+        site = f"default clause for {op} at a dynamically graded call site"
+    else:
+        gk = h.functor.apply(k)
+        site = f"clause for {op} at k={k}"
+    expected = compose(h.functor.apply(decl.grade), gk)
     resume_type = Arrow(decl.arity, h.out_type, gk)
     ctx = ((clause.param_var, decl.param), (clause.resume_var, resume_type))
     # the resumption is tracked like a let-bound lambda performing _RESUME
@@ -416,11 +427,10 @@ def _check_clause(h: HandlerAst, op: str, k: Morphism, clause: Clause):
         raise TypeMismatch(
             f"handler {h.name}: clause for {decl.name} has type {body_type}, "
             f"declared {h.out_type}")
-    expected = h.functor.apply(compose(decl.grade, k))
     if body_grade != expected:
         raise ClauseGradeMismatch(
-            f"handler {h.name}: clause for {decl.name} at k={k} has grade "
-            f"{body_grade}, expected {expected}")
+            f"handler {h.name}: {site} has grade {body_grade}, "
+            f"expected {expected}")
     after = {g for name, g in demand if name == _RESUME}
     demand -= {(_RESUME, g) for g in after}
     escaped = _RESUME in dynamic
@@ -431,16 +441,18 @@ def _check_clause(h: HandlerAst, op: str, k: Morphism, clause: Clause):
         # remainder extends by an amount known only at run time
         for body in clause_bodies(h):
             dynamic |= _ops_syntactically_in(body)
+    # a grade through <k> runs through a G(k) known only at run time
+    dynamic.update(name for name, g in demand if _K in g.path)
+    demand = {(name, g) for name, g in demand if _K not in g.path}
     h.checked[(op, k)] = (demand, dynamic)
+    return demand, dynamic
 
 
-def clause_for(h: HandlerAst, op: str, k: Morphism) -> Clause:
+def clause_for(h: HandlerAst, op: str, k: Morphism | None) -> Clause:
     """Clause selection: explicit clause at this k first, then the default."""
     clause = h.clauses.get((op, k)) or h.defaults.get(op)
     if clause is None:
         raise MissingClause(op, k)
-    if (op, k) not in h.checked:
-        _check_clause(h, op, k, clause)
     return clause
 
 

@@ -298,7 +298,8 @@ def test_conform_detects_violations_with_exit_three(tmp_path, capsys):
 
 
 # the default clause is well graded at k = e, but the lambda hidden in the
-# pair performs act at k = id(z), where the clause is first checked at run time
+# pair performs act at k = id(z); the checker checks the clause once for
+# that dynamically graded call site, at a generic k, where it is ill graded
 LATE_CLAUSE = """
 category C { objects z; gen p : z -> z; gen e : z -> z; rule p.e = e; }
 functor Id : C -> C { obj z => z; gen p => p; gen e => e; }
@@ -312,6 +313,9 @@ program late over S : 1 @ p {
 }
 """
 
+LATE_CLAUSE_ERROR = ("handler h: default clause for act at a dynamically "
+                     "graded call site has grade <k>, expected p;<k>")
+
 
 @pytest.fixture
 def late_clause(tmp_path):
@@ -320,23 +324,94 @@ def late_clause(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["run", "denote"])
-def test_clause_failing_at_run_time_is_an_error_line(command, late_clause,
-                                                     capsys):
-    assert main(["check", late_clause]) == 0
-    assert "⊢_{p} late : 1" in capsys.readouterr().out
-    assert main([command, late_clause]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("late: error: handler h: clause for act at k=id(z)")
-    assert "Traceback" not in err
+@pytest.mark.parametrize("command", ["check", "run", "denote"])
+def test_clause_failing_at_a_dynamic_site_is_a_type_error(command,
+                                                         late_clause, capsys):
+    assert main([command, late_clause]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"type error: {LATE_CLAUSE_ERROR}\n"
 
 
-def test_conform_fails_on_a_clause_failing_at_run_time(late_clause, capsys):
+def test_conform_fails_typecheck_on_a_clause_failing_at_a_dynamic_site(
+        late_clause, capsys):
     assert main(["conform", "--count", "20", late_clause]) == 3
     out = capsys.readouterr().out
-    assert "FAIL soundness[late]: handler h: clause for act" in out
-    assert "FAIL lemma-shapes[late]: preservation broken: handler h" in out
-    assert "PASS generated[S]" in out
+    assert out == f"FAIL typecheck: {LATE_CLAUSE_ERROR}\n"
+
+
+# h's default clause for act, reached only from the lambda hidden in the
+# pair, performs note after its resumption returns: at every k, that note
+# runs at id(z) from the end of h's handle, so o's explicit clause covers it
+NOTE_AFTER_RESUME = """
+category C { objects z; gen p : z -> z; }
+category D { objects w; }
+functor Id : C -> C { obj z => z; gen p => p; }
+functor Drop : C -> D { obj z => w; gen p => id(w); }
+signature S over C { op act : 1 ~> 1 @ p; op note : 1 ~> 1 @ id(z); }
+signature T over D { }
+handler h over S to S via Id at z : 1 => 1 {
+  return x => val z x;
+  op act(q), r => let y <- do act(()) in let x <- r () in do note(());
+}
+handler o over S to T via Drop at z : 1 => 1 {
+  return x => val w x;
+  op act(q), r => r ();
+  op note(q), r @ id(z) => r ();
+}
+program prog over T : 1 @ id(w) {
+  handle (handle (split ((fun^p (u : 1) => do act(u)), ()) as (f, v) in
+    f ()) with h) with o
+}
+"""
+
+
+def test_an_operation_after_a_dynamic_site_resumption_keeps_its_grade(
+        tmp_path, capsys):
+    path = tmp_path / "note.ceff"
+    path.write_text(NOTE_AFTER_RESUME)
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "⊢_{id(w)} prog : 1\n"
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out == "prog: val w ()\n"
+    assert main(["conform", "--count", "20", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("PASS ") for line in lines)
+    assert "PASS soundness[prog]: 12 steps invariant" in lines
+
+
+# act runs at a k known only at run time, where h may pick its explicit
+# clause at id(z); that clause's note, left to o, must be covered as well
+EXPLICIT_AT_DYNAMIC_SITE = """
+category C { objects z; gen p : z -> z; }
+category D { objects w; }
+functor Id : C -> C { obj z => z; gen p => p; }
+functor Drop : C -> D { obj z => w; gen p => id(w); }
+signature S over C { op act : 1 ~> 1 @ p; op note : 1 ~> 1 @ id(z); }
+signature T over D { }
+handler h over S to S via Id at z : 1 => 1 {
+  return x => val z x;
+  op act(q), r @ id(z) => let x <- r () in let y <- do note(()) in do act(());
+  op act(q), r => let y <- do act(()) in r ();
+}
+handler o over S to T via Drop at z : 1 => 1 {
+  return x => val w x;
+  op act(q), r => r ();
+}
+program prog over T : 1 @ id(w) {
+  handle (handle (split ((fun^p (u : 1) => do act(u)), ()) as (f, v) in
+    f ()) with h) with o
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_explicit_clauses_cover_a_dynamic_site(command, tmp_path, capsys):
+    path = tmp_path / "explicit.ceff"
+    path.write_text(EXPLICIT_AT_DYNAMIC_SITE)
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "type error: no clause for operation 'note' at continuation grade p\n")
 
 
 HASH_SEED_SCRIPT = """
@@ -366,3 +441,20 @@ def test_output_does_not_depend_on_the_hash_seed():
         outputs.append(proc.stdout)
     assert outputs[0].count(b'"ok": true') == 4  # every report was printed
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_unknown_wide_marking_error_does_not_depend_on_the_hash_seed(
+        seed, tmp_path):
+    # several unknown names: the first one declared is reported
+    path = tmp_path / "wide.ceff"
+    path.write_text(
+        "category C { objects s; gen a : s -> s; wide x, y, z, w; }\n")
+    src = str(Path(cateff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+    proc = subprocess.run([sys.executable, "-m", "cateff.cli", "check",
+                           str(path)], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == (
+        f"error: {path}: invalid category C: wide marking on unknown "
+        f"generator 'x' at 1:1\n")

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import cateff.denote
+import cateff.eval
 from cateff.conformance import (
     TermGenerator, generate_unit_programs, generate_wellgraded_terms,
     run_conformance, verify_adequacy, verify_lemma_shapes,
@@ -10,7 +12,9 @@ from cateff.conformance import (
 from cateff.parser import parse_bundle
 from cateff.signature import UNIT, is_primitive
 from cateff.terms import Handle, Let, OpCall, StarV, Val, pp_comp
-from cateff.typecheck import check_bundle, grade_of_computation
+from cateff.typecheck import (
+    ClauseGradeMismatch, check_bundle, clause_for, grade_of_computation,
+)
 from conftest import theory_text
 
 
@@ -94,9 +98,10 @@ def test_adequacy_rejects_wrong_shape(session_bundle):
     assert not verify_adequacy(term, sig).passed
 
 
-def test_adequacy_fails_on_a_clause_failing_at_run_time():
-    # act hides in a pair, so its default clause is first checked when the
-    # fold meets act at k = q, where the clause is ill graded
+def test_check_rejects_a_clause_failing_at_a_dynamic_site():
+    # act hides in a pair, so its default clause is checked for a dynamically
+    # graded call site, at a generic k, where it is ill graded; the fold
+    # would meet act at k = q
     bundle = parse_bundle("""
     category C { objects z; gen p : z -> z; gen q : z -> z;
                  rule p.q = id(z); rule q.p = id(z); }
@@ -112,12 +117,11 @@ def test_adequacy_fails_on_a_clause_failing_at_run_time():
         f () in do back(())) with h
     }
     """)
-    check_bundle(bundle)
-    prog = bundle.programs["balanced"]
-    res = verify_adequacy(prog.body, prog.signature)
-    assert not res.passed
-    assert res.detail == ("handler h: clause for act at k=q has grade q, "
-                          "expected id(z)")
+    with pytest.raises(ClauseGradeMismatch) as exc:
+        check_bundle(bundle)
+    assert str(exc.value) == ("handler h: default clause for act at a "
+                              "dynamically graded call site has grade <k>, "
+                              "expected p;<k>")
 
 
 def test_unit_program_generator_meets_the_adequacy_preconditions(session_bundle):
@@ -221,9 +225,19 @@ def test_adequacy_accepts_a_star_under_identity_weakenings():
 
 
 @pytest.mark.parametrize("theory",["session", "pair_handler", "mutstore", "widened"])
-def test_run_conformance_is_green_on_shipped_theories(theory, request):
+def test_run_conformance_is_green_on_shipped_theories(theory, request,
+                                                      monkeypatch):
     fixture = {"pair_handler": "pair_bundle"}.get(theory, f"{theory}_bundle")
     bundle = request.getfixturevalue(fixture)
+    check_bundle(bundle)
+
+    def checked_clause_for(h, op, k):
+        # run time only looks clauses up: the checker checked each selected
+        assert (op, k) in h.checked or (op, None) in h.checked, (h.name, op, k)
+        return clause_for(h, op, k)
+
+    monkeypatch.setattr(cateff.eval, "clause_for", checked_clause_for)
+    monkeypatch.setattr(cateff.denote, "clause_for", checked_clause_for)
     report = run_conformance(bundle, seed=0, count=120, depth=4)
     assert report.ok, [r.line() for r in report.results if not r.passed]
     payload = report.to_json()

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and the package
-defines nothing, not even a method, that only tests name.
+"""Source hygiene: no module imports a name it never uses, the package
+defines nothing, not even a method, that only tests name, and only the
+checker and its callers handle a type error.
 
 The checks read the AST, so they need no linter.  An imported name counts
 as used when it is loaded anywhere in the module, appears in a string
@@ -108,3 +109,18 @@ def test_no_dead_definitions():
                  for node, name, others in defined
                  if name and not any(name in names for names in others)]
     assert dead == []
+
+
+def test_only_the_checker_and_its_callers_handle_type_errors():
+    # a checked program raises no type error at run time, so the step
+    # engine and the denotation have none to translate
+    allowed = {"typecheck.py", "conformance.py", "cli.py"}
+    handlers = []
+    for path in PACKAGE:
+        if path.name in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None \
+                    and "CateffTypeError" in _named(node.type):
+                handlers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert handlers == []
