@@ -15,7 +15,7 @@ from .freemodel import Coerce, Leaf, Node, tree_to_json
 from .grading import GradingError
 from .parser import CeffError, load_bundle
 from .signature import NonComparable, SignatureError
-from .terms import pp_comp, pp_type
+from .terms import pp_comp
 from .typecheck import CateffTypeError, check_bundle, grade_of_computation
 
 
@@ -34,7 +34,7 @@ def _load(path):
 
 def cmd_check(args, bundle, judgements) -> int:
     for name, j in judgements.items():
-        print(f"⊢_{{{j.grade}}} {name} : {pp_type(j.result_type)}")
+        print(f"⊢_{{{j.grade}}} {name} : {j.result_type}")
     return 0
 
 

@@ -9,7 +9,7 @@ coercion nodes (pre-coercion at the root, post-coercion at every leaf).
 """
 from __future__ import annotations
 
-from .freemodel import Coerce, Leaf, Node, TermTree, coerce, graft, make_node, unit_leaf
+from .freemodel import Coerce, Leaf, Node, TermTree, coerce, graft, unit_leaf
 from .signature import (
     FunV, GradedSignature, InlV, InrV, PairV, SemValue, STAR, enumerate_type,
 )
@@ -63,7 +63,7 @@ def denote_computation(names: tuple, m: CompAst, env: tuple,
             c = decl.grade.cod
             children = tuple(unit_leaf(c, x, cat)
                              for x in enumerate_type(decl.arity))
-            return make_node(op, decl.grade, param, children)
+            return Node(op, decl.grade, param, cat.identity(c), children)
         case Let(var, bound, body):
             bound_tree = denote_computation(names, bound, env, sig)
             return graft(bound_tree,

@@ -3,10 +3,11 @@
 A closed well-typed computation decomposes uniquely into either a value
 form, an unhandled operation under a handler-free context, or a redex under
 a stack of lift frames (lets, handles, weakenings).  `steps` is the only
-step loop: it decomposes, applies the redex's rule and rebuilds, yielding
-every configuration with its decomposition; `run`, `step` and the
-conformance checks all consume it or its rule-and-rebuild helper, so the
-step budget is counted in one place.  Handler dispatch picks
+step loop: it decomposes once per step, applies the redex's rule to that
+decomposition (an S-HandleOp redex carries the operation it handles) and
+rebuilds, yielding every configuration with its decomposition; `run`,
+`step` and the conformance checks all consume it or its rule-and-rebuild
+helper, so the step budget is counted in one place.  Handler dispatch picks
 the clause for the continuation grade of the operation, obtained by
 re-checking the continuation with a fresh variable plugged into the hole;
 the typechecker is the single source of truth for grading.
@@ -89,7 +90,7 @@ class RedexAt:
     frames: tuple  # lift frames, outermost first
     redex: CompAst
     rule: str
-    sig: GradedSignature  # ambient signature of the redex
+    handled: Optional[OpAtTop] = None  # the operation an S-HandleOp redex handles
 
 
 Decomposition = Terminal | OpAtTop | RedexAt
@@ -115,19 +116,19 @@ def decompose(m: CompAst, sig: GradedSignature) -> Decomposition:
         case OpCall(op, arg):
             return OpAtTop((), op, arg, sig)
         case App(_, _) | Proj(_, _, _, _) | Match(_, _, _, _, _):
-            return RedexAt((), m, _rule_name(m), sig)
+            return RedexAt((), m, _rule_name(m))
         case Let(var, bound, body):
             frame = LetFrame(var, body)
             inner = decompose(bound, sig)
             match inner:
                 case Terminal(_, _, weakens) if not weakens:
-                    return RedexAt((), m, "S-Let", sig)
+                    return RedexAt((), m, "S-Let")
                 case Terminal(_, _, _):
                     raise Stuck("weakened value feeding a let has no rule")
                 case OpAtTop(frames, op, arg, isig):
                     return OpAtTop((frame,) + frames, op, arg, isig)
-                case RedexAt(frames, redex, rule, isig):
-                    return RedexAt((frame,) + frames, redex, rule, isig)
+                case RedexAt(frames, redex, rule, handled):
+                    return RedexAt((frame,) + frames, redex, rule, handled)
         case Gunit(pre, body, post):
             frame = WeakenFrame(pre, post)
             inner = decompose(body, sig)
@@ -136,13 +137,13 @@ def decompose(m: CompAst, sig: GradedSignature) -> Decomposition:
                     return Terminal(value, obj, ((pre, post),) + weakens)
                 case OpAtTop(frames, op, arg, isig):
                     return OpAtTop((frame,) + frames, op, arg, isig)
-                case RedexAt(frames, redex, rule, isig):
-                    return RedexAt((frame,) + frames, redex, rule, isig)
+                case RedexAt(frames, redex, rule, handled):
+                    return RedexAt((frame,) + frames, redex, rule, handled)
         case Handle(body, handler):
             inner = decompose(body, handler.source)
             match inner:
                 case Terminal(_, _, weakens) if not weakens:
-                    return RedexAt((), m, "S-HandleRet", sig)
+                    return RedexAt((), m, "S-HandleRet")
                 case Terminal(_, _, _):
                     raise Stuck("weakened value under a handler has no rule")
                 case OpAtTop(frames, _, _, _):
@@ -150,10 +151,10 @@ def decompose(m: CompAst, sig: GradedSignature) -> Decomposition:
                         raise Stuck(
                             "weakening between a handler and the operation "
                             "it handles has no rule")
-                    return RedexAt((), m, "S-HandleOp", sig)
-                case RedexAt(frames, redex, rule, isig):
+                    return RedexAt((), m, "S-HandleOp", inner)
+                case RedexAt(frames, redex, rule, handled):
                     return RedexAt((HandleFrame(handler),) + frames,
-                                   redex, rule, isig)
+                                   redex, rule, handled)
     raise EvalError(f"not a computation: {m!r}")
 
 
@@ -182,8 +183,8 @@ def continuation_grade(frames, op: str, sig: GradedSignature) -> Morphism:
     return k
 
 
-def _apply_rule(redex: CompAst, rule: str, sig: GradedSignature) -> CompAst:
-    match redex:
+def _apply_rule(d: RedexAt) -> CompAst:
+    match d.redex:
         case App(Lam(_, var, _, body), arg):
             return substitute(body, {var: arg})
         case App(_, _):
@@ -200,13 +201,11 @@ def _apply_rule(redex: CompAst, rule: str, sig: GradedSignature) -> CompAst:
             return substitute(right, {y: v})
         case Match(_, _, _, _, _):
             raise Stuck("case on a non-injection value")
-        case Handle(body, handler) if rule == "S-HandleRet":
-            inner = decompose(body, handler.source)
-            return substitute(handler.ret_body, {handler.ret_var: inner.value})
-        case Handle(body, handler) if rule == "S-HandleOp":
-            inner = decompose(body, handler.source)
-            return _handle_op(inner, handler)
-    raise EvalError(f"cannot apply {rule} to {redex!r}")
+        case Handle(Val(_, v), handler):
+            return substitute(handler.ret_body, {handler.ret_var: v})
+        case Handle(_, handler):
+            return _handle_op(d.handled, handler)
+    raise EvalError(f"cannot apply {d.rule} to {d.redex!r}")
 
 
 def _handle_op(inner: OpAtTop, handler: HandlerAst) -> CompAst:
@@ -228,7 +227,7 @@ def _handle_op(inner: OpAtTop, handler: HandlerAst) -> CompAst:
 
 def _reduce(d: RedexAt) -> CompAst:
     """Apply the redex's rule and plug the result back into its context."""
-    return rebuild(d.frames, _apply_rule(d.redex, d.rule, d.sig))
+    return rebuild(d.frames, _apply_rule(d))
 
 
 def step(m: CompAst, sig: GradedSignature) -> Optional[CompAst]:
@@ -260,10 +259,6 @@ def steps(m: CompAst, sig: GradedSignature, max_steps: int = DEFAULT_MAX_STEPS
 class Trace:
     configs: list
     final: Decomposition
-
-    @property
-    def steps(self) -> int:
-        return len(self.configs) - 1
 
 
 def run(m: CompAst, sig: GradedSignature,

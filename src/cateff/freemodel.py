@@ -4,7 +4,8 @@ A tree is either a payload-carrying leaf (grade ``id``), an operation node
 whose children are indexed by the canonical enumeration of the operation's
 arity and share one grade ``k`` (node grade = operation grade ; k), or a
 coercion node realizing a generalised unit along the wide subcategory.
-Grafting trees onto leaves is the free-model multiplication.
+`denote` builds each node over unit leaves, so k starts as an identity;
+grafting trees onto leaves is the free-model multiplication.
 
 A ``.ceff`` signature declares operations and no equations, so every theory
 a program names is free and this is its only model.  The extension of a
@@ -68,23 +69,6 @@ def unit_leaf(obj: str, val: SemValue, cat=None) -> Leaf:
     if cat is not None and obj not in cat.objects:
         raise FreeModelError(f"no object {obj!r} in category {cat.name}")
     return Leaf(obj, val)
-
-
-def make_node(op: str, op_grade: Morphism, param: SemValue,
-              children: tuple) -> Node:
-    if not children:
-        raise FreeModelError(f"operation node {op} needs at least one child")
-    cat = op_grade.cat
-    k = grade_of(children[0], cat)
-    for child in children[1:]:
-        if grade_of(child, cat) != k:
-            raise GradeHeterogeneous(
-                f"children of {op} node have unequal grades")
-    if op_grade.cod != k.dom:
-        raise FreeModelError(
-            f"node {op}: operation grade ends at {op_grade.cod} but children "
-            f"start at {k.dom}")
-    return Node(op, op_grade, param, k, children)
 
 
 def coerce(r: Morphism, child: TermTree) -> TermTree:

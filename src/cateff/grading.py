@@ -82,6 +82,10 @@ class GradingCategory:
         for w in wide:  # declaration order picks the name reported
             if w not in self.generators:
                 raise UnknownGenerator(f"wide marking on unknown generator {w!r}")
+        # checking, stepping and conformance recompose the same paths again
+        # and again: without this cache, `run_conformance` on perfbench's
+        # `chain_case(1, 0, 48)` took 0.385 s instead of 0.249 s and `run`
+        # 0.032 s instead of 0.018 s (medians of 4 runs, 2-vCPU VM)
         self._norm_cache: dict[tuple[str, ...], tuple[str, ...]] = {}
         self._validate()
 
@@ -264,7 +268,6 @@ class GradingFunctor:
                     "which is not wide")
             self.generator_map[gname] = img
         self._check_rules()
-        self._cache: dict[tuple[str, tuple[str, ...]], Morphism] = {}
 
     def _check_rules(self):
         for rule in self.source.rules:
@@ -276,22 +279,14 @@ class GradingFunctor:
                     f"{'.'.join(rule.lhs)} = {'.'.join(rule.rhs) or 'id'}")
 
     def _image_path(self, path):
-        out: tuple[str, ...] = ()
-        for name in path:
-            out = out + self.generator_map[name].path
-        return self.target.normalize(out)
+        return self.target.normalize(
+            tuple(g for name in path for g in self.generator_map[name].path))
 
     def apply(self, m: Morphism) -> Morphism:
         if m.cat is not self.source:
             raise UnknownGenerator(f"functor {self.name}: morphism not in source")
-        key = (m.dom, m.path)
-        hit = self._cache.get(key)
-        if hit is None:
-            path = self._image_path(m.path)
-            hit = Morphism(self.target, self.object_map[m.dom],
-                           self.object_map[m.cod], path)
-            self._cache[key] = hit
-        return hit
+        return Morphism(self.target, self.object_map[m.dom],
+                        self.object_map[m.cod], self._image_path(m.path))
 
     def __repr__(self):
         return f"GradingFunctor({self.name!r})"

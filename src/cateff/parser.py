@@ -42,10 +42,9 @@ from .terms import (
 
 
 class CeffError(Exception):
-    def __init__(self, msg, line=None, col=None):
+    def __init__(self, msg, line, col):
         self.line, self.col = line, col
-        where = f" at {line}:{col}" if line is not None else ""
-        super().__init__(f"{msg}{where}")
+        super().__init__(f"{msg} at {line}:{col}")
 
 
 class CeffSyntaxError(CeffError):

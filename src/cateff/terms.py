@@ -296,18 +296,15 @@ def substitute(m: CompAst, subs: dict) -> CompAst:
 
 
 # ---------------------------------------------------------------------------
-# pretty-printing of values, computations and types (the parser inverts this
-# exactly); handlers are closed top-level declarations, so a ``handle`` prints
-# its handler by name and reparses within the file that declares it
+# pretty-printing of values and computations, with types in their ``str``
+# form (the parser inverts this exactly); handlers are closed top-level
+# declarations, so a ``handle`` prints its handler by name and reparses
+# within the file that declares it
 
 def pp_path(m: Morphism) -> str:
     if m.is_identity:
         return f"id({m.dom})"
     return ".".join(m.path)
-
-
-def pp_type(t: Type) -> str:
-    return str(t)
 
 
 def _pp_value_atom(v: ValueAst) -> str:
@@ -324,13 +321,13 @@ def pp_value(v: ValueAst) -> str:
         case StarV():
             return "()"
         case Inl(val, ann):
-            return f"inl {_pp_value_atom(val)} : {pp_type(ann)}"
+            return f"inl {_pp_value_atom(val)} : {ann}"
         case Inr(val, ann):
-            return f"inr {_pp_value_atom(val)} : {pp_type(ann)}"
+            return f"inr {_pp_value_atom(val)} : {ann}"
         case Pair(left, right):
             return f"({pp_value(left)}, {pp_value(right)})"
         case Lam(grade, var, var_type, body):
-            return f"fun^{pp_path(grade)} ({var} : {pp_type(var_type)}) => {pp_comp(body)}"
+            return f"fun^{pp_path(grade)} ({var} : {var_type}) => {pp_comp(body)}"
     raise TypeError(f"not a value: {v!r}")
 
 

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from cateff.freemodel import Node, grade_of
 from cateff.grading import Generator, GradingCategory, RewriteRule
 from cateff.parser import parse_bundle
 
@@ -34,6 +35,12 @@ def mutstore_bundle():
 @pytest.fixture(scope="session")
 def widened_bundle():
     return parse_bundle(theory_text("widened"), "widened.ceff")
+
+
+def node(op, op_grade, param, children):
+    """An operation node whose children share the grade of the first one."""
+    return Node(op, op_grade, param, grade_of(children[0], op_grade.cat),
+                children)
 
 
 def morphisms_from(cat, obj, max_len):

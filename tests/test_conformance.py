@@ -287,10 +287,10 @@ def test_adequacy_oracle_catches_a_non_terminating_machine(session_bundle,
     import cateff.eval as ev
     real_apply = ev._apply_rule
 
-    def spinning(redex, rule, sig):
-        if rule == "S-Let":
-            return redex
-        return real_apply(redex, rule, sig)
+    def spinning(d):
+        if d.rule == "S-Let":
+            return d.redex
+        return real_apply(d)
 
     monkeypatch.setattr(ev, "_apply_rule", spinning)
     sig = session_bundle.signatures["SessionSig"]

@@ -4,7 +4,7 @@ from cateff.denote import (
 )
 from cateff.eval import run_program, Terminal
 from cateff.freemodel import (
-    Coerce, Leaf, Node, grade_of, graft, make_node, unit_leaf,
+    Coerce, Leaf, Node, grade_of, graft, unit_leaf,
 )
 from cateff.parser import parse_bundle
 from cateff.signature import (
@@ -12,6 +12,7 @@ from cateff.signature import (
 )
 from cateff.terms import Lam, Let, OpCall, StarV, Val, Var, substitute
 from cateff.typecheck import grade_of_computation
+from conftest import node
 
 BOOL = Sum(UNIT, UNIT)
 INT4 = Sum(UNIT, Sum(UNIT, Sum(UNIT, UNIT)))
@@ -156,9 +157,9 @@ def test_fold_commutes_with_graft_for_op_free_clause_bodies():
     p2 = bundle.categories["P2"]
     p, q = cat.morphism(("p",)), cat.morphism(("q",))
     fold = denote_handler(handler)
-    t = make_node("s2", q, STAR, (unit_leaf("z", InlV(STAR)),
+    t = node("s2", q, STAR, (unit_leaf("z", InlV(STAR)),
                                   unit_leaf("z", InrV(STAR))))
-    phi = lambda v: make_node("s1", p, STAR, (unit_leaf("z", v),))
+    phi = lambda v: node("s1", p, STAR, (unit_leaf("z", v),))
     lhs = fold(graft(t, phi, cat))
     rhs = graft(fold(t), lambda v: fold(phi(v)), p2)
     assert lhs == rhs

@@ -114,11 +114,33 @@ def test_every_configuration_is_closed(theory):
 def test_golden_pair_trace_step_count_and_result(pair_bundle):
     prog = pair_bundle.programs["pair_main"]
     trace = run_program(prog)
-    assert trace.steps == 7
+    assert len(trace.configs) - 1 == 7
     final = trace.configs[-1]
     assert isinstance(final, Val) and final.obj == "pt"
     assert isinstance(final.val, Pair)
     assert isinstance(final.val.left, Inl) and isinstance(final.val.right, Inr)
+
+
+def test_a_rule_reuses_the_decomposition_of_its_step(pair_bundle,
+                                                     monkeypatch):
+    # S-HandleOp and S-HandleRet read the handled computation off the
+    # decomposition `steps` made; they do not walk it again
+    import cateff.eval as ev
+    prog = pair_bundle.programs["pair_main"]
+    redexes = [d for _, d in steps(prog.body, prog.signature)
+               if isinstance(d, RedexAt)]
+    assert {"S-HandleOp", "S-HandleRet"} <= {d.rule for d in redexes}
+    calls = []
+    real_decompose = ev.decompose
+
+    def counting(m, sig):
+        calls.append(m)
+        return real_decompose(m, sig)
+
+    monkeypatch.setattr(ev, "decompose", counting)
+    for d in redexes:
+        ev._reduce(d)
+    assert calls == []
 
 
 def test_max_steps_exceeded(pair_bundle):
@@ -129,7 +151,7 @@ def test_max_steps_exceeded(pair_bundle):
 
 def test_step_budget_counts_rule_applications(pair_bundle):
     prog = pair_bundle.programs["pair_main"]
-    assert run_program(prog, max_steps=7).steps == 7
+    assert len(run_program(prog, max_steps=7).configs) - 1 == 7
     with pytest.raises(MaxStepsExceeded):
         run_program(prog, max_steps=6)
 
@@ -207,7 +229,7 @@ def test_weakening_between_handler_and_operation_blocks():
 def test_weakening_is_transparent_to_inner_steps(widened_bundle):
     prog = widened_bundle.programs["widened_pure"]
     trace = run_program(prog)
-    assert trace.steps == 0
+    assert len(trace.configs) - 1 == 0
     assert isinstance(trace.final, Terminal)
     assert trace.final.weakens
     assert trace.final.value == StarV()
@@ -222,7 +244,7 @@ def test_weakening_is_transparent_to_inner_steps(widened_bundle):
     bundle = parse_bundle(src)
     check_bundle(bundle)
     trace = run_program(bundle.programs["inner_step"])
-    assert trace.steps == 1
+    assert len(trace.configs) - 1 == 1
     assert isinstance(trace.final, Terminal) and trace.final.weakens
 
 

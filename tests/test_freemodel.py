@@ -3,13 +3,14 @@ import pytest
 from cateff.denote import denote_computation
 from cateff.freemodel import (
     Coerce, GradeHeterogeneous, Leaf, Node, coerce, grade_of, graft,
-    make_node, tree_to_json, unit_leaf,
+    tree_to_json, unit_leaf,
 )
 from cateff.grading import build_category, compose
 from cateff.signature import (
     InlV, InrV, NonComparable, STAR, Sum, UNIT, FunV,
 )
 from cateff.conformance import TermGenerator
+from conftest import node
 
 BOOL = Sum(UNIT, UNIT)
 A, B = InlV(STAR), InrV(STAR)
@@ -29,25 +30,25 @@ def test_graft_left_unit_law():
     # grafting phi onto a bare leaf is just phi at the payload
     cat = one_object_cat()
     p = cat.morphism(("p",))
-    phi = {STAR: make_node("sigma", p, STAR, (unit_leaf("z", STAR),))}
+    phi = {STAR: node("sigma", p, STAR, (unit_leaf("z", STAR),))}
     assert graft(unit_leaf("z", STAR), phi.__getitem__, cat) == phi[STAR]
 
 
 def test_graft_right_unit_law():
     cat = one_object_cat()
     p, q = cat.morphism(("p",)), cat.morphism(("q",))
-    t = make_node("delta", q, STAR,
-                  (make_node("sigma", p, A, (unit_leaf("z", A),)),
-                   make_node("sigma", p, B, (unit_leaf("z", B),))))
+    t = node("delta", q, STAR,
+                  (node("sigma", p, A, (unit_leaf("z", A),)),
+                   node("sigma", p, B, (unit_leaf("z", B),))))
     assert graft(t, lambda x: unit_leaf("z", x), cat) == t
 
 
 def test_graft_two_leaf_node_against_hand_expanded_tree():
     cat = one_object_cat()
     p, q = cat.morphism(("p",)), cat.morphism(("q",))
-    two_leaf = make_node("delta", q, STAR,
+    two_leaf = node("delta", q, STAR,
                          (unit_leaf("z", A), unit_leaf("z", B)))
-    phi = lambda x: make_node("sigma", p, x, (unit_leaf("z", x),))
+    phi = lambda x: node("sigma", p, x, (unit_leaf("z", x),))
     expected = Node("delta", q, STAR, p,
                     (Node("sigma", p, A, cat.identity("z"), (Leaf("z", A),)),
                      Node("sigma", p, B, cat.identity("z"), (Leaf("z", B),))))
@@ -59,10 +60,10 @@ def test_graft_two_leaf_node_against_hand_expanded_tree():
 def test_graft_rejects_mixed_grades():
     cat = one_object_cat()
     p, q = cat.morphism(("p",)), cat.morphism(("q",))
-    two_leaf = make_node("delta", q, STAR,
+    two_leaf = node("delta", q, STAR,
                          (unit_leaf("z", A), unit_leaf("z", B)))
-    images = {A: make_node("sigma", p, STAR, (unit_leaf("z", STAR),)),
-              B: make_node("tau", q, STAR, (unit_leaf("z", STAR),))}
+    images = {A: node("sigma", p, STAR, (unit_leaf("z", STAR),)),
+              B: node("tau", q, STAR, (unit_leaf("z", STAR),))}
     with pytest.raises(GradeHeterogeneous):
         graft(two_leaf, images.__getitem__, cat)
 
@@ -73,7 +74,7 @@ def test_graft_associativity_on_generated_trees(session_bundle):
     gen = TermGenerator(sig, seed=21)
     idm = cat.identity("int")
     phi = lambda x: unit_leaf("int", InlV(x) if not isinstance(x, InlV) else x)
-    psi = lambda x: make_node("lookupint", idm, STAR,
+    psi = lambda x: node("lookupint", idm, STAR,
                               tuple(unit_leaf("int", v)
                                     for v in _int_values()))
     count = 0
@@ -107,7 +108,7 @@ def test_coerce_collapses_nested_and_identity():
 def test_tree_serialization_shape():
     cat = one_object_cat()
     p = cat.morphism(("p",))
-    tree = coerce(p, make_node("sigma", p, A, (unit_leaf("z", STAR),)))
+    tree = coerce(p, node("sigma", p, A, (unit_leaf("z", STAR),)))
     assert tree_to_json(tree) == {
         "coerce": {"r": "p", "child": {
             "node": {"op": "sigma", "param": ["inl", "*"], "k": "id(z)",

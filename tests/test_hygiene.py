@@ -81,6 +81,11 @@ def _named(node):
     return names
 
 
+def _attributes(node):
+    """Every attribute ``node`` reads or writes (``x.name``)."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def _methods(stmt):
     """The non-dunder methods of the class ``stmt`` defines, if it is one."""
     if not isinstance(stmt, ast.ClassDef):
@@ -91,20 +96,25 @@ def _methods(stmt):
 
 def test_no_dead_definitions():
     # tests are not users: a definition stays only if the package itself or
-    # the benchmark names it outside the definition
+    # the benchmark names it outside the definition; a method or property
+    # counts as used only where it is read as an attribute, so a function of
+    # the same name does not keep it
     readers = [*PACKAGE, *(ROOT / "perfbench").glob("*.py")]
     statements = [(path, stmt) for path in readers
                   for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
     named = [_named(stmt) for _, stmt in statements]
+    attributes = [_attributes(stmt) for _, stmt in statements]
     dead = []
     for i, (path, stmt) in enumerate(statements):
         if path not in PACKAGE:
             continue
-        elsewhere = [names for j, names in enumerate(named) if j != i]
-        defined = [(stmt, _defined(stmt), elsewhere)]
+        defined = [(stmt, _defined(stmt),
+                    [names for j, names in enumerate(named) if j != i])]
+        read = [attrs for j, attrs in enumerate(attributes) if j != i]
         for method in _methods(stmt):
-            siblings = [_named(node) for node in stmt.body if node is not method]
-            defined.append((method, method.name, elsewhere + siblings))
+            siblings = [_attributes(node) for node in stmt.body
+                        if node is not method]
+            defined.append((method, method.name, read + siblings))
         dead += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
                  for node, name, others in defined
                  if name and not any(name in names for names in others)]

@@ -455,7 +455,9 @@ def test_context_type_factorization_along_traces(theory, program, request):
         if isinstance(d, Terminal):
             continue
         if isinstance(d, RedexAt):
-            frames, core, inner_sig = d.frames, d.redex, d.sig
+            handlers = [f.handler for f in d.frames if isinstance(f, HandleFrame)]
+            frames, core = d.frames, d.redex
+            inner_sig = handlers[-1].source if handlers else sig
         else:
             frames, core, inner_sig = d.frames, OpCall(d.op, d.arg), d.sig
         core_type, g_prime = grade_of_computation((), core, inner_sig)
