@@ -24,7 +24,7 @@ from .denote import DenoteError, denote_computation
 from .eval import (
     DEFAULT_MAX_STEPS, EvalError, MaxStepsExceeded, OpAtTop, run, steps,
 )
-from .freemodel import tree_to_json, unit_leaf
+from .freemodel import Leaf, tree_to_json
 from .signature import (
     GradedSignature, Prod, STAR, Sum, Type, UNIT, is_primitive,
 )
@@ -105,7 +105,7 @@ def verify_adequacy(comp: CompAst, sig: GradedSignature,
         tree = denote_computation((), comp, (), sig)
     except DenoteError as exc:
         return CheckResult("adequacy", False, str(exc))
-    if tree != unit_leaf(grade.dom, STAR):
+    if tree != Leaf(grade.dom, STAR):
         return CheckResult("adequacy", True,
                            "vacuous: denotation is not the star leaf")
     try:

@@ -9,7 +9,7 @@ coercion nodes (pre-coercion at the root, post-coercion at every leaf).
 """
 from __future__ import annotations
 
-from .freemodel import Coerce, Leaf, Node, TermTree, coerce, graft, unit_leaf
+from .freemodel import Coerce, Leaf, Node, TermTree, coerce, graft
 from .signature import (
     FunV, GradedSignature, InlV, InrV, PairV, SemValue, STAR, enumerate_type,
 )
@@ -56,13 +56,12 @@ def denote_computation(names: tuple, m: CompAst, env: tuple,
     cat = sig.category
     match m:
         case Val(obj, v):
-            return unit_leaf(obj, denote_value(names, v, env, sig), cat)
+            return Leaf(obj, denote_value(names, v, env, sig))
         case OpCall(op, arg):
             decl = sig[op]
             param = denote_value(names, arg, env, sig)
             c = decl.grade.cod
-            children = tuple(unit_leaf(c, x, cat)
-                             for x in enumerate_type(decl.arity))
+            children = tuple(Leaf(c, x) for x in enumerate_type(decl.arity))
             return Node(op, decl.grade, param, cat.identity(c), children)
         case Let(var, bound, body):
             bound_tree = denote_computation(names, bound, env, sig)
@@ -96,7 +95,7 @@ def denote_computation(names: tuple, m: CompAst, env: tuple,
         case Gunit(pre, body, post):
             tree = denote_computation(names, body, env, sig)
             lifted = graft(tree,
-                           lambda x: coerce(post, unit_leaf(post.cod, x, cat)),
+                           lambda x: coerce(post, Leaf(post.cod, x)),
                            cat)
             return coerce(pre, lifted)
     raise DenoteError(f"not a computation: {m!r}")
@@ -113,7 +112,6 @@ def denote_handler(h: HandlerAst):
     denoted in the environment of its own binders only.
     """
     target = h.target
-    arity_index: dict = {}
 
     def fold(t: TermTree) -> TermTree:
         match t:
@@ -126,12 +124,9 @@ def denote_handler(h: HandlerAst):
                                           target)
             case Node(op, _, param, k, children):
                 clause = clause_for(h, op, k)
-                decl = h.source[op]
-                index = arity_index.get(op)
-                if index is None:
-                    index = {v: i for i, v in enumerate(enumerate_type(decl.arity))}
-                    arity_index[op] = index
-                rfun = FunV(lambda i, _ch=children: fold(_ch[index[i]]))
+                arity = h.source[op].arity
+                rfun = FunV(lambda v, _ch=children:
+                            fold(_ch[enumerate_type(arity).index(v)]))
                 return denote_computation((clause.param_var, clause.resume_var),
                                           clause.body, (param, rfun), target)
             case Coerce(r, child):

@@ -8,14 +8,17 @@ decomposition (an S-HandleOp redex carries the operation it handles) and
 rebuilds, yielding every configuration with its decomposition; `run`,
 `step` and the conformance checks all consume it or its rule-and-rebuild
 helper, so the step budget is counted in one place.  Handler dispatch picks
-the clause for the continuation grade of the operation, obtained by
-re-checking the continuation with a fresh variable plugged into the hole;
-the typechecker is the single source of truth for grading.
+the clause for the continuation grade k of the operation.  The frames
+between a handled operation and its handler are all lets, so k is the
+composite of their body grades, innermost first: the let typing rule, read
+off the frames by the typechecker, which is the single source of truth for
+grading.
 
 Every configuration is closed, so every value a rule substitutes is closed
 and substitution never renames a binder.  In a closed configuration a let
 frame's body mentions only its own binder, so a name that avoids the let
-binders of the frames is fresh for the whole context.
+binders of the frames is fresh for the whole context, and each body is
+judged in the context of its binder alone.
 
 Grade weakenings are transparent lift frames: evaluation proceeds inside
 them and they are preserved in the configuration.  They carry no reduction
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterator, Optional
 
-from .grading import Morphism
+from .grading import Morphism, compose
 from .signature import GradedSignature
 from .terms import (
     App, CompAst, Gunit, Handle, HandlerAst, Inl, Inr, Lam, Let, Match,
@@ -45,7 +48,7 @@ class EvalError(Exception):
 
 
 class Stuck(EvalError):
-    """A closed term no rule applies to (blocked weakening or ill-typed input)."""
+    """A closed checked term no rule applies to: a weakening blocks it."""
 
 
 class MaxStepsExceeded(EvalError):
@@ -108,6 +111,13 @@ def rebuild(frames, core: CompAst) -> CompAst:
     return core
 
 
+def _under(frame, d: OpAtTop | RedexAt) -> OpAtTop | RedexAt:
+    """``d`` with ``frame`` pushed outside its context."""
+    if isinstance(d, OpAtTop):
+        return OpAtTop((frame,) + d.frames, d.op, d.arg, d.sig)
+    return RedexAt((frame,) + d.frames, d.redex, d.rule, d.handled)
+
+
 def decompose(m: CompAst, sig: GradedSignature) -> Decomposition:
     """Unique leftmost decomposition of a closed well-typed computation."""
     match m:
@@ -115,71 +125,53 @@ def decompose(m: CompAst, sig: GradedSignature) -> Decomposition:
             return Terminal(v, obj)
         case OpCall(op, arg):
             return OpAtTop((), op, arg, sig)
-        case App(_, _) | Proj(_, _, _, _) | Match(_, _, _, _, _):
-            return RedexAt((), m, _rule_name(m))
+        case App():
+            return RedexAt((), m, "S-App")
+        case Proj():
+            return RedexAt((), m, "S-Proj")
+        case Match(scrut):
+            return RedexAt((), m, "S-MatchLeft" if isinstance(scrut, Inl)
+                           else "S-MatchRight")
         case Let(var, bound, body):
-            frame = LetFrame(var, body)
             inner = decompose(bound, sig)
-            match inner:
-                case Terminal(_, _, weakens) if not weakens:
-                    return RedexAt((), m, "S-Let")
-                case Terminal(_, _, _):
-                    raise Stuck("weakened value feeding a let has no rule")
-                case OpAtTop(frames, op, arg, isig):
-                    return OpAtTop((frame,) + frames, op, arg, isig)
-                case RedexAt(frames, redex, rule, handled):
-                    return RedexAt((frame,) + frames, redex, rule, handled)
+            if not isinstance(inner, Terminal):
+                return _under(LetFrame(var, body), inner)
+            if inner.weakens:
+                raise Stuck("weakened value feeding a let has no rule")
+            return RedexAt((), m, "S-Let")
         case Gunit(pre, body, post):
-            frame = WeakenFrame(pre, post)
             inner = decompose(body, sig)
-            match inner:
-                case Terminal(value, obj, weakens):
-                    return Terminal(value, obj, ((pre, post),) + weakens)
-                case OpAtTop(frames, op, arg, isig):
-                    return OpAtTop((frame,) + frames, op, arg, isig)
-                case RedexAt(frames, redex, rule, handled):
-                    return RedexAt((frame,) + frames, redex, rule, handled)
+            if isinstance(inner, Terminal):
+                return Terminal(inner.value, inner.obj,
+                                ((pre, post),) + inner.weakens)
+            return _under(WeakenFrame(pre, post), inner)
         case Handle(body, handler):
             inner = decompose(body, handler.source)
-            match inner:
-                case Terminal(_, _, weakens) if not weakens:
-                    return RedexAt((), m, "S-HandleRet")
-                case Terminal(_, _, _):
+            if isinstance(inner, Terminal):
+                if inner.weakens:
                     raise Stuck("weakened value under a handler has no rule")
-                case OpAtTop(frames, _, _, _):
-                    if any(isinstance(f, WeakenFrame) for f in frames):
-                        raise Stuck(
-                            "weakening between a handler and the operation "
-                            "it handles has no rule")
-                    return RedexAt((), m, "S-HandleOp", inner)
-                case RedexAt(frames, redex, rule, handled):
-                    return RedexAt((HandleFrame(handler),) + frames,
-                                   redex, rule, handled)
+                return RedexAt((), m, "S-HandleRet")
+            if isinstance(inner, OpAtTop):
+                if any(isinstance(f, WeakenFrame) for f in inner.frames):
+                    raise Stuck("weakening between a handler and the "
+                                "operation it handles has no rule")
+                return RedexAt((), m, "S-HandleOp", inner)
+            return _under(HandleFrame(handler), inner)
     raise EvalError(f"not a computation: {m!r}")
 
 
-def _rule_name(m: CompAst) -> str:
-    match m:
-        case App(_, _):
-            return "S-App"
-        case Proj(_, _, _, _):
-            return "S-Proj"
-        case Match(scrut, _, _, _, _):
-            return "S-MatchLeft" if isinstance(scrut, Inl) else "S-MatchRight"
-    raise EvalError(f"no rule for {m!r}")
-
-
-def _frame_names(frames) -> set:
-    return {frame.var for frame in frames if isinstance(frame, LetFrame)}
-
-
 def continuation_grade(frames, op: str, sig: GradedSignature) -> Morphism:
-    """Grade k of E[val_c y] for a handler-free context E around op, fresh y."""
+    """Grade k of the let frames ``frames`` (outermost first) around op.
+
+    k composes the grades of the let bodies, innermost first.  Each body is
+    judged with only its binder in scope, bound at the type the frame
+    inside returns (op's arity for the innermost).
+    """
     decl = sig[op]
-    c = decl.grade.cod
-    y = fresh_name("y", _frame_names(frames))
-    cont = rebuild(frames, Val(c, Var(y)))
-    _, k = grade_of_computation(((y, decl.arity),), cont, sig)
+    ty, k = decl.arity, sig.category.identity(decl.grade.cod)
+    for frame in reversed(frames):
+        ty, g = grade_of_computation(((frame.var, ty),), frame.body, sig)
+        k = compose(k, g)
     return k
 
 
@@ -187,20 +179,14 @@ def _apply_rule(d: RedexAt) -> CompAst:
     match d.redex:
         case App(Lam(_, var, _, body), arg):
             return substitute(body, {var: arg})
-        case App(_, _):
-            raise Stuck("application of a non-lambda value")
         case Let(var, Val(_, v), body):
             return substitute(body, {var: v})
         case Proj(Pair(v1, v2), x, y, body):
             return substitute(body, {x: v1, y: v2})
-        case Proj(_, _, _, _):
-            raise Stuck("split of a non-pair value")
         case Match(Inl(v, _), x, left, _, _):
             return substitute(left, {x: v})
         case Match(Inr(v, _), _, _, y, right):
             return substitute(right, {y: v})
-        case Match(_, _, _, _, _):
-            raise Stuck("case on a non-injection value")
         case Handle(Val(_, v), handler):
             return substitute(handler.ret_body, {handler.ret_var: v})
         case Handle(_, handler):
@@ -216,7 +202,8 @@ def _handle_op(inner: OpAtTop, handler: HandlerAst) -> CompAst:
     gk = handler.functor.apply(k)
     c = decl.grade.cod
     # a checked clause body mentions only its parameter and resumption
-    avoid = {clause.param_var, clause.resume_var} | _frame_names(inner.frames)
+    avoid = {clause.param_var, clause.resume_var,
+             *(f.var for f in inner.frames)}
     y = fresh_name("y", avoid)
     resumed = rebuild(inner.frames, Val(c, Var(y)))
     resume = Lam(gk, y, decl.arity, Handle(resumed, handler))

@@ -65,12 +65,6 @@ def grade_of(t: TermTree, cat) -> Morphism:
     raise FreeModelError(f"not a term tree: {t!r}")
 
 
-def unit_leaf(obj: str, val: SemValue, cat=None) -> Leaf:
-    if cat is not None and obj not in cat.objects:
-        raise FreeModelError(f"no object {obj!r} in category {cat.name}")
-    return Leaf(obj, val)
-
-
 def coerce(r: Morphism, child: TermTree) -> TermTree:
     """Wrap in a coercion node, collapsing nested and identity coercions."""
     if isinstance(child, Coerce):

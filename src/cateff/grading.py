@@ -228,6 +228,13 @@ class Morphism:
         return ";".join(self.path)
 
 
+def pp_path(m: Morphism) -> str:
+    """``m`` as the parser reads a path: ``g.h.k`` or ``id(obj)``."""
+    if m.is_identity:
+        return f"id({m.dom})"
+    return ".".join(m.path)
+
+
 def compose(f: Morphism, g: Morphism) -> Morphism:
     """Diagrammatic composition f;g, normalized."""
     if f.cat is not g.cat:

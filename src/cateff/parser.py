@@ -18,7 +18,8 @@ Computations: ``val a V`` | ``let x <- M in N`` | ``do name(V)`` | ``V W`` |
 ``split V as (x, y) in M`` | ``case V of inl x => M1 | inr y => M2`` |
 ``handle M with H`` | ``weaken g { M } h``.  Values: ``()`` | ``x`` |
 ``(V, W)`` | ``inl V : A+B`` | ``inr V : A+B`` | ``fun^path (x : A) => M``.
-A path is ``g.h.k`` or ``id(obj)``; the single binder ``_`` is a wildcard.
+A path is ``g.h.k`` or ``id(obj)``.  A binder ``_`` is a wildcard: it
+binds, but ``_`` is not a value, so nothing can refer to it.
 
 The tokenizer is one regular expression.  A word is word characters not
 starting with a decimal digit (so ``²`` and ``ⅷ`` start one); a number is
@@ -117,7 +118,6 @@ class Parser:
         self.toks = tokenize(src)
         self.pos = 0
         self.bundle = TheoryBundle()
-        self._wild = itertools.count(1)
 
     # -- token plumbing ---------------------------------------------------
 
@@ -160,10 +160,7 @@ class Parser:
         return toks
 
     def binder(self) -> str:
-        tok = self.ident("binder")
-        if tok.text == "_":
-            return f"_w{next(self._wild)}"
-        return tok.text
+        return self.ident("binder").text
 
     def fail(self, msg, tok=None, cls=CeffSyntaxError):
         tok = tok or self.peek()
@@ -273,6 +270,8 @@ class Parser:
     def parse_value_atom(self, amb) -> ValueAst:
         tok = self.peek()
         if tok.kind == "ident":
+            if tok.text == "_":
+                self.fail("the wildcard '_' binds no name and is not a value")
             self.next()
             return Var(tok.text)
         if tok.kind == "(":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .grading import GradingCategory, Morphism
+from .grading import GradingCategory, Morphism, pp_path
 
 
 class SignatureError(Exception):
@@ -71,7 +71,7 @@ class Arrow:
     grade: Morphism
 
     def __str__(self):
-        return f"{_atom(self.arg)} -> {_atom(self.res)} @ {self.grade}"
+        return f"{_atom(self.arg)} -> {_atom(self.res)} @ {pp_path(self.grade)}"
 
 
 Type = Unit | Prod | Sum | Arrow

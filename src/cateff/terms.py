@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .grading import GradingCategory, GradingFunctor, Morphism
+from .grading import GradingCategory, GradingFunctor, Morphism, pp_path
 from .signature import GradedSignature, Type
 
 
@@ -300,12 +300,6 @@ def substitute(m: CompAst, subs: dict) -> CompAst:
 # form (the parser inverts this exactly); handlers are closed top-level
 # declarations, so a ``handle`` prints its handler by name and reparses
 # within the file that declares it
-
-def pp_path(m: Morphism) -> str:
-    if m.is_identity:
-        return f"id({m.dom})"
-    return ".".join(m.path)
-
 
 def _pp_value_atom(v: ValueAst) -> str:
     s = pp_value(v)

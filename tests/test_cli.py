@@ -146,13 +146,13 @@ def test_a_closed_stdout_ends_quietly(tmp_path):
     """)
     src = str(Path(cateff.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "cateff.cli", "denote", "--json", str(path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 1
+    with subprocess.Popen(
+            [sys.executable, "-m", "cateff.cli", "denote", "--json", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
     assert err == ""  # neither a traceback nor "Exception ignored"
 
 

@@ -11,7 +11,7 @@ from cateff.conformance import (
 )
 from cateff.parser import parse_bundle
 from cateff.signature import UNIT, is_primitive
-from cateff.terms import Handle, Let, OpCall, StarV, Val, pp_comp
+from cateff.terms import App, Handle, Let, OpCall, StarV, Val, pp_comp
 from cateff.typecheck import (
     ClauseGradeMismatch, check_bundle, clause_for, grade_of_computation,
 )
@@ -298,6 +298,26 @@ def test_adequacy_oracle_catches_a_non_terminating_machine(session_bundle,
     res = verify_adequacy(prog, sig, max_steps=50)
     assert not res.passed
     assert res.detail == "no value within 50 steps"
+
+
+def test_an_ill_typed_contractum_is_reported_not_raised(pair_bundle,
+                                                      monkeypatch):
+    # sabotage S-Let into an ill-typed contractum: the next step finds an
+    # application of a non-lambda value, which no rule of a checked program
+    # reaches, and the checks must report it as failures, not tracebacks
+    import cateff.eval as ev
+    real_apply = ev._apply_rule
+
+    def ill_typed(d):
+        if d.rule == "S-Let":
+            return App(StarV(), StarV())
+        return real_apply(d)
+
+    monkeypatch.setattr(ev, "_apply_rule", ill_typed)
+    report = run_conformance(pair_bundle, count=40)
+    failed = [r for r in report.results if not r.passed]
+    assert failed and not report.ok
+    assert any("cannot apply S-App" in r.detail for r in failed)
 
 
 def test_checks_pass_on_a_budget_of_exactly_the_steps_needed(pair_bundle):

@@ -4,7 +4,7 @@ from cateff.denote import (
 )
 from cateff.eval import run_program, Terminal
 from cateff.freemodel import (
-    Coerce, Leaf, Node, grade_of, graft, unit_leaf,
+    Coerce, Leaf, Node, grade_of, graft,
 )
 from cateff.parser import parse_bundle
 from cateff.signature import (
@@ -157,9 +157,8 @@ def test_fold_commutes_with_graft_for_op_free_clause_bodies():
     p2 = bundle.categories["P2"]
     p, q = cat.morphism(("p",)), cat.morphism(("q",))
     fold = denote_handler(handler)
-    t = node("s2", q, STAR, (unit_leaf("z", InlV(STAR)),
-                                  unit_leaf("z", InrV(STAR))))
-    phi = lambda v: node("s1", p, STAR, (unit_leaf("z", v),))
+    t = node("s2", q, STAR, (Leaf("z", InlV(STAR)), Leaf("z", InrV(STAR))))
+    phi = lambda v: node("s1", p, STAR, (Leaf("z", v),))
     lhs = fold(graft(t, phi, cat))
     rhs = graft(fold(t), lambda v: fold(phi(v)), p2)
     assert lhs == rhs

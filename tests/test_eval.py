@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from cateff.conformance import generate_wellgraded_terms
@@ -9,12 +11,15 @@ from cateff.eval import (
 from cateff.parser import parse_bundle
 from cateff.terms import (
     App, Handle, Inl, Inr, Lam, Let, OpCall, Pair, StarV, Val, Var,
-    free_vars, pp_comp,
+    free_vars, fresh_name, pp_comp,
 )
-from cateff.typecheck import MissingClause, check_bundle
+from cateff.typecheck import (
+    MissingClause, check_bundle, grade_of_computation,
+)
 from conftest import theory_text
 
 THEORIES = ("session", "pair_handler", "mutstore", "widened")
+RUNTIME = Path(__file__).parent / "golden" / "runtime.ceff"
 
 
 def test_decompose_value_is_terminal(session_bundle):
@@ -141,6 +146,68 @@ def test_a_rule_reuses_the_decomposition_of_its_step(pair_bundle,
     for d in redexes:
         ev._reduce(d)
     assert calls == []
+
+
+def test_handle_op_rebuilds_its_context_once(pair_bundle, monkeypatch):
+    # k comes from the let frames, so only the resumption rebuilds the
+    # context (and takes a fresh name); the other rebuild plugs the
+    # contractum back into the redex's own context
+    import cateff.eval as ev
+    prog = pair_bundle.programs["pair_main"]
+    redexes = [d for _, d in steps(prog.body, prog.signature)
+               if isinstance(d, RedexAt) and d.rule == "S-HandleOp"]
+    assert len(redexes) == 2
+    counts = {"rebuild": 0, "fresh_name": 0}
+
+    def counting(name):
+        real = getattr(ev, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(ev, name, counting(name))
+    for d in redexes:
+        counts.update(rebuild=0, fresh_name=0)
+        ev._reduce(d)
+        assert counts == {"rebuild": 2, "fresh_name": 1}
+
+
+def plugged_continuation_grade(frames, op, sig):
+    """k as the grade of E[val_c y] for a fresh y: the definition that
+    `continuation_grade` replaces, kept as its reference."""
+    decl = sig[op]
+    y = fresh_name("y", {f.var for f in frames if isinstance(f, LetFrame)})
+    cont = rebuild(frames, Val(decl.grade.cod, Var(y)))
+    return grade_of_computation(((y, decl.arity),), cont, sig)[1]
+
+
+def test_continuation_grade_is_the_grade_of_the_plugged_context():
+    bundles = [parse_bundle(theory_text(t)) for t in THEORIES]
+    bundles.append(parse_bundle(RUNTIME.read_text(encoding="utf-8")))
+    handled = 0
+    for bundle in bundles:
+        check_bundle(bundle)
+        programs = [(p.body, p.signature) for p in bundle.programs.values()]
+        pool = tuple(bundle.handlers.values())
+        for sig in bundle.signatures.values():
+            programs += [(m, sig) for m in generate_wellgraded_terms(
+                sig, seed=0, count=100, depth=4, handler_pool=pool)]
+        for m, sig in programs:
+            try:
+                decompositions = [d for _, d in steps(m, sig)]
+            except Stuck:  # the runtime fixture's blocked program
+                continue
+            for d in decompositions:
+                if isinstance(d, RedexAt) and d.rule == "S-HandleOp":
+                    op, hsig = d.handled, d.redex.handler.source
+                    assert (continuation_grade(op.frames, op.op, hsig)
+                            == plugged_continuation_grade(op.frames, op.op,
+                                                          hsig))
+                    handled += 1
+    assert handled > 0
 
 
 def test_max_steps_exceeded(pair_bundle):

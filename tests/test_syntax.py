@@ -3,6 +3,7 @@ from typing import get_args
 
 import pytest
 
+from cateff.eval import run_program
 from cateff.grading import GradingCategory
 from cateff.parser import (
     KEYWORDS, SYMBOLS, CeffSyntaxError, UnboundName, parse_bundle, tokenize,
@@ -13,6 +14,7 @@ from cateff.terms import (
     Proj, StarV, Val, ValueAst, Var, children, clause_bodies, free_vars,
     pp_comp, pp_value, substitute,
 )
+from cateff.typecheck import check_bundle, check_program
 from conftest import theory_text
 
 MINI = """
@@ -166,10 +168,26 @@ def test_handler_requires_a_return_clause():
         parse_bundle(src)
 
 
-def test_wildcard_binders_get_distinct_names():
-    prog = mini_program("let _ <- val a () in let _ <- val a () in val a ()")
-    assert isinstance(prog.body, Let) and isinstance(prog.body.body, Let)
-    assert prog.body.var != prog.body.body.var
+def test_a_wildcard_binder_captures_no_variable():
+    # `_` binds as itself, so it cannot shadow a user's variable
+    body = "let _w1 <- val a (inl () : 1+1) in let _ <- val a () in val a _w1"
+    bundle = parse_bundle(MINI.replace("BODY", body).replace("TYPE", "1+1")
+                          .replace("GRADE", "id(a)"))
+    check_bundle(bundle)
+    prog = bundle.programs["p"]
+    final = run_program(prog).configs[-1]
+    assert final == Val("a", Inl(StarV(), Sum(UNIT, UNIT)))
+    # it prints as `_`, which reparses
+    again = mini_program(pp_comp(prog.body), type_="1+1")
+    assert repr(again.body) == repr(prog.body)
+    # and nothing can refer to it: `_` is no value
+    body = "let _ <- val a () in let _ <- val a () in val a _"
+    with pytest.raises(CeffSyntaxError) as exc:
+        mini_program(body)
+    program_line = MINI.splitlines().index(
+        "program p over S : TYPE @ GRADE { BODY }") + 1
+    col = len("program p over S : 1 @ id(a) { ") + body.rindex("_") + 1
+    assert (exc.value.line, exc.value.col) == (program_line, col)
 
 
 def test_application_parses_as_value_atoms():
@@ -206,6 +224,22 @@ def test_parse_after_pretty_print_is_identity(theory):
         # Morphism reprs omit the category, so reprs compare across bundles
         assert repr(again) == repr(body), src
         assert pp_comp(again) == src
+
+
+def test_arrow_types_print_as_the_parser_reads_them():
+    # a composite arrow grade prints as a dotted path, in a lambda
+    # parameter type and in an injection's annotation
+    body = ("let g <- val a (inl (fun^f.f (x : 1) => let y <- do tick(x) in "
+            "do tick(y)) : (1 -> 1 @ f.f)+1) in "
+            "val a (fun^f.f (h : 1 -> 1 @ f.f) => h ())")
+    ty = "(1 -> 1 @ f.f) -> 1 @ f.f"
+    prog = mini_program(body, type_=ty)
+    printed = pp_comp(prog.body)
+    assert printed.count("1 -> 1 @ f.f") == 2
+    assert str(check_program(prog).result_type) == ty
+    again = mini_program(printed, type_=ty)
+    assert repr(again.body) == repr(prog.body)
+    assert pp_comp(again.body) == printed
 
 
 # -- substitution -------------------------------------------------------------
