@@ -1,7 +1,10 @@
 """Golden CLI outputs: stdout, stderr and exit status of every subcommand on
 the shipped theories and on ``golden/runtime.ceff``, which holds the runtime
 shapes they lack (lambdas, ``split``, arrow types, a residual weakening after
-a handler and a blocked program).
+a handler and a blocked program).  ``golden/chain24.ceff`` and
+``golden/branching10.ceff`` are the texts of the benchmark's generated
+``chain_case(1, 0, 24)`` and ``branching_case(1, 0, 10)``, kept as files so
+that these goldens do not move when the generator does.
 
 Each ``golden/<file>.<command>.txt`` pins one command on one file, run
 in-process through ``cli.main``.  A refactor keeps them byte-identical; an
@@ -28,6 +31,8 @@ FILES = {
     "mutstore": theory_path("mutstore"),
     "widened": theory_path("widened"),
     "runtime": str(GOLDEN / "runtime.ceff"),
+    "chain24": str(GOLDEN / "chain24.ceff"),
+    "branching10": str(GOLDEN / "branching10.ceff"),
 }
 
 COMMANDS = {
