@@ -7,13 +7,13 @@ import os
 import sys
 
 from .conformance import run_conformance
-from .denote import DenoteError, denote_program
+from .denote import denote_program
 from .eval import (
     DEFAULT_MAX_STEPS, EvalError, OpAtTop, Terminal, run_program,
 )
 from .freemodel import Coerce, Leaf, Node, tree_to_json
 from .grading import GradingError
-from .parser import CeffError, load_bundle
+from .parser import CeffSyntaxError, load_bundle
 from .signature import NonComparable, SignatureError
 from .terms import pp_comp
 from .typecheck import CateffTypeError, check_bundle, grade_of_computation
@@ -22,7 +22,7 @@ from .typecheck import CateffTypeError, check_bundle, grade_of_computation
 def _load(path):
     try:
         return load_bundle(path)
-    except (CeffError, GradingError, SignatureError) as exc:
+    except (CeffSyntaxError, GradingError, SignatureError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
     except OSError as exc:
         print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
@@ -64,12 +64,7 @@ def cmd_run(args, bundle, judgements) -> int:
 def cmd_denote(args, bundle, judgements) -> int:
     status = 0
     for name, prog in bundle.programs.items():
-        try:
-            tree = denote_program(prog)
-        except DenoteError as exc:
-            print(f"{name}: error: {exc}", file=sys.stderr)
-            status = status or 2  # an unserializable tree's exit 1 wins
-            continue
+        tree = denote_program(prog)
         if args.json:
             try:
                 print(json.dumps({name: tree_to_json(tree)}, sort_keys=True))

@@ -14,31 +14,7 @@ STEP_CAP = 10_000  # rewrite steps before normalization is deemed divergent
 
 
 class GradingError(Exception):
-    """Base class for grading category construction/use errors."""
-
-
-class EndpointMismatch(GradingError):
-    pass
-
-
-class NotComposable(GradingError):
-    pass
-
-
-class NonTerminatingRules(GradingError):
-    pass
-
-
-class NotLocallyConfluent(GradingError):
-    pass
-
-
-class UnknownGenerator(GradingError):
-    pass
-
-
-class UnknownObject(GradingError):
-    pass
+    """Grading category construction/use errors."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +46,7 @@ class GradingCategory:
             if isinstance(gen, tuple):
                 gen = Generator(*gen)
             if gen.dom not in self.objects or gen.cod not in self.objects:
-                raise UnknownObject(
+                raise GradingError(
                     f"generator {gen.name}: endpoint not among objects")
             if gen.name in self.generators:
                 raise GradingError(f"duplicate generator {gen.name!r}")
@@ -81,7 +57,7 @@ class GradingCategory:
         self.wide = frozenset(wide)
         for w in wide:  # declaration order picks the name reported
             if w not in self.generators:
-                raise UnknownGenerator(f"wide marking on unknown generator {w!r}")
+                raise GradingError(f"wide marking on unknown generator {w!r}")
         # checking, stepping and conformance recompose the same paths again
         # and again: without this cache, `run_conformance` on perfbench's
         # `chain_case(1, 0, 48)` took 0.385 s instead of 0.249 s and `run`
@@ -101,11 +77,11 @@ class GradingCategory:
             else:
                 # identity rhs: pick up endpoints from the lhs, which must loop
                 if lhs_ends[0] != lhs_ends[1]:
-                    raise EndpointMismatch(
+                    raise GradingError(
                         f"rule {'.'.join(rule.lhs)} = id connects distinct objects")
                 rhs_ends = lhs_ends
             if lhs_ends != rhs_ends:
-                raise EndpointMismatch(
+                raise GradingError(
                     f"rule {'.'.join(rule.lhs)} = {'.'.join(rule.rhs)}: "
                     "sides have different endpoints")
         # termination probe on all composable generator pairs and triples and
@@ -118,7 +94,7 @@ class GradingCategory:
         for path, left, right in self._critical_pairs():
             normals = {self.normalize(left), self.normalize(right)}
             if len(normals) > 1:
-                raise NotLocallyConfluent(
+                raise GradingError(
                     f"path {'.'.join(path)} rewrites to distinct normal forms "
                     f"{sorted('.'.join(n) or 'id' for n in normals)}")
         # the all-wide normal forms are closed under composition exactly when
@@ -134,9 +110,9 @@ class GradingCategory:
         for name in path:
             gen = self.generators.get(name)
             if gen is None:
-                raise UnknownGenerator(f"unknown generator {name!r}")
+                raise GradingError(f"unknown generator {name!r}")
             if prev_cod is not None and gen.dom != prev_cod:
-                raise NotComposable(
+                raise GradingError(
                     f"path {'.'.join(path)}: {name} not composable at {prev_cod}")
             prev_cod = gen.cod
         return self.generators[path[0]].dom, prev_cod
@@ -188,12 +164,12 @@ class GradingCategory:
                 self._norm_cache[path] = current
                 return current
             current = hit
-        raise NonTerminatingRules(
+        raise GradingError(
             f"rewriting of {'.'.join(path)} exceeded {STEP_CAP} steps")
 
     def identity(self, obj):
         if obj not in self.objects:
-            raise UnknownObject(f"no object {obj!r} in category {self.name}")
+            raise GradingError(f"no object {obj!r} in category {self.name}")
         return Morphism(self, obj, obj, ())
 
     def morphism(self, path):
@@ -238,9 +214,9 @@ def pp_path(m: Morphism) -> str:
 def compose(f: Morphism, g: Morphism) -> Morphism:
     """Diagrammatic composition f;g, normalized."""
     if f.cat is not g.cat:
-        raise NotComposable("morphisms of different categories")
+        raise GradingError("morphisms of different categories")
     if f.cod != g.dom:
-        raise NotComposable(f"cod {f.cod} of {f} differs from dom {g.dom} of {g}")
+        raise GradingError(f"cod {f.cod} of {f} differs from dom {g.dom} of {g}")
     return Morphism(f.cat, f.dom, g.cod, f.cat.normalize(f.path + g.path))
 
 
@@ -256,18 +232,18 @@ class GradingFunctor:
         self.generator_map = {}
         for obj in source.objects:
             if obj not in self.object_map:
-                raise UnknownObject(f"functor {name}: no image for object {obj}")
+                raise GradingError(f"functor {name}: no image for object {obj}")
             if self.object_map[obj] not in target.objects:
-                raise UnknownObject(
+                raise GradingError(
                     f"functor {name}: image {self.object_map[obj]} not in target")
         for gname, gen in source.generators.items():
             img = generator_map.get(gname)
             if img is None:
-                raise UnknownGenerator(f"functor {name}: no image for generator {gname}")
+                raise GradingError(f"functor {name}: no image for generator {gname}")
             if not isinstance(img, Morphism) or img.cat is not target:
                 raise GradingError(f"functor {name}: image of {gname} not a target morphism")
             if (img.dom, img.cod) != (self.object_map[gen.dom], self.object_map[gen.cod]):
-                raise EndpointMismatch(
+                raise GradingError(
                     f"functor {name}: image of {gname} has wrong endpoints")
             if gname in source.wide and not target.is_wide(img):
                 raise GradingError(
@@ -291,7 +267,7 @@ class GradingFunctor:
 
     def apply(self, m: Morphism) -> Morphism:
         if m.cat is not self.source:
-            raise UnknownGenerator(f"functor {self.name}: morphism not in source")
+            raise GradingError(f"functor {self.name}: morphism not in source")
         return Morphism(self.target, self.object_map[m.dom],
                         self.object_map[m.cod], self._image_path(m.path))
 

@@ -42,18 +42,10 @@ from .terms import (
 )
 
 
-class CeffError(Exception):
+class CeffSyntaxError(Exception):
     def __init__(self, msg, line, col):
         self.line, self.col = line, col
         super().__init__(f"{msg} at {line}:{col}")
-
-
-class CeffSyntaxError(CeffError):
-    pass
-
-
-class UnboundName(CeffError):
-    pass
 
 
 KEYWORDS = frozenset("""
@@ -162,9 +154,9 @@ class Parser:
     def binder(self) -> str:
         return self.ident("binder").text
 
-    def fail(self, msg, tok=None, cls=CeffSyntaxError):
+    def fail(self, msg, tok=None):
         tok = tok or self.peek()
-        raise cls(msg, tok.line, tok.col)
+        raise CeffSyntaxError(msg, tok.line, tok.col)
 
     # -- names ------------------------------------------------------------
 
@@ -172,8 +164,7 @@ class Parser:
         name_tok = name_tok or self.ident(f"{kind} name")
         item = table.get(name_tok.text)
         if item is None:
-            raise UnboundName(f"unknown {kind} {name_tok.text!r}",
-                              name_tok.line, name_tok.col)
+            self.fail(f"unknown {kind} {name_tok.text!r}", name_tok)
         return item
 
     def declare(self, table, name, value, kind, tok):
@@ -192,13 +183,13 @@ class Parser:
             self.expect(")")
             if obj.text not in cat.objects:
                 self.fail(f"unknown object {obj.text!r} in category {cat.name}",
-                          obj, UnboundName)
+                          obj)
             return cat.identity(obj.text)
         names = self.idents(".", "generator name")
         for name_tok in names:
             if name_tok.text not in cat.generators:
                 self.fail(f"unknown generator {name_tok.text!r} in category "
-                          f"{cat.name}", name_tok, UnboundName)
+                          f"{cat.name}", name_tok)
         try:
             return cat.morphism(tuple(t.text for t in names))
         except GradingError as exc:
@@ -297,7 +288,7 @@ class Parser:
             obj = self.ident("object name")
             if obj.text not in cat.objects:
                 self.fail(f"unknown object {obj.text!r} in category {cat.name}",
-                          obj, UnboundName)
+                          obj)
             return Val(obj.text, self.parse_value_atom(amb))
         if self.at_kw("let"):
             self.next()
@@ -311,7 +302,7 @@ class Parser:
             op = self.ident("operation name")
             if op.text not in sig:
                 self.fail(f"unknown operation {op.text!r} in signature "
-                          f"{sig.name}", op, UnboundName)
+                          f"{sig.name}", op)
             self.expect("(")
             arg = self.parse_value(amb)
             self.expect(")")
@@ -363,9 +354,22 @@ class Parser:
             comp = self.parse_comp(amb)
             self.expect(")")
             return comp
-        fn = self.parse_value_atom(amb)
-        arg = self.parse_value_atom(amb)
-        return App(fn, arg)
+        start = self.pos
+        try:
+            fn = self.parse_value_atom(amb)
+            return App(fn, self.parse_value_atom(amb))
+        except CeffSyntaxError as first:
+            if tok.kind != "(":
+                raise
+            # not `(V) W`: a parenthesized application, as `handle (V W)`
+            # prints; a file that fails both readings reports the first
+            self.pos = start + 1
+            try:
+                comp = self.parse_comp(amb)
+                self.expect(")")
+                return comp
+            except CeffSyntaxError:
+                raise first from None
 
     def _handler_of_upcoming_with(self) -> HandlerAst:
         # the handled computation is parsed in the handler's source theory,
@@ -493,7 +497,7 @@ class Parser:
             gen = source.generators.get(gname)
             if gen is None:
                 self.fail(f"functor {name}: unknown source generator {gname!r}",
-                          start, UnboundName)
+                          start)
             if img is None:
                 dst = object_map.get(gen.dom)
                 if dst is None:
@@ -547,7 +551,7 @@ class Parser:
         at_tok = self.ident("object name")
         if at_tok.text not in source.category.objects:
             self.fail(f"unknown object {at_tok.text!r} in category "
-                      f"{source.category.name}", at_tok, UnboundName)
+                      f"{source.category.name}", at_tok)
         self.expect(":")
         in_type = self.parse_type(source.category)
         self.expect("=>")
@@ -568,7 +572,7 @@ class Parser:
                 op_tok = self.ident("operation name")
                 if op_tok.text not in source:
                     self.fail(f"unknown operation {op_tok.text!r} in signature "
-                              f"{source.name}", op_tok, UnboundName)
+                              f"{source.name}", op_tok)
                 self.expect("(")
                 pvar = self.binder()
                 self.expect(")")

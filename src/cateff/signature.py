@@ -18,18 +18,6 @@ class SignatureError(Exception):
     pass
 
 
-class UnknownMorphism(SignatureError):
-    pass
-
-
-class NonPrimitiveType(SignatureError):
-    pass
-
-
-class DuplicateOp(SignatureError):
-    pass
-
-
 class NonComparable(Exception):
     """Raised when equality is asked of function-space values."""
 
@@ -169,7 +157,7 @@ def enumerate_type(t: Type) -> tuple:
     if isinstance(t, Sum):
         return tuple(InlV(a) for a in enumerate_type(t.left)) + \
             tuple(InrV(b) for b in enumerate_type(t.right))
-    raise NonPrimitiveType(f"cannot enumerate non-primitive type {t}")
+    raise SignatureError(f"cannot enumerate non-primitive type {t}")
 
 
 def value_to_json(v: SemValue):
@@ -202,14 +190,14 @@ class GradedSignature:
         self.ops: dict[str, OpDecl] = {}
         for op in ops:
             if op.name in self.ops:
-                raise DuplicateOp(f"operation {op.name!r} declared twice")
+                raise SignatureError(f"operation {op.name!r} declared twice")
             if not isinstance(op.grade, Morphism) or op.grade.cat is not category:
-                raise UnknownMorphism(
+                raise SignatureError(
                     f"operation {op.name}: grade is not a morphism of {category.name}")
             if not is_primitive(op.param):
-                raise NonPrimitiveType(f"operation {op.name}: parameter not primitive")
+                raise SignatureError(f"operation {op.name}: parameter not primitive")
             if not is_primitive(op.arity):
-                raise NonPrimitiveType(f"operation {op.name}: arity not primitive")
+                raise SignatureError(f"operation {op.name}: arity not primitive")
             self.ops[op.name] = op
 
     def __contains__(self, name):

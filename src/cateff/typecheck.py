@@ -54,50 +54,6 @@ class CateffTypeError(Exception):
     pass
 
 
-class UnboundVariable(CateffTypeError):
-    pass
-
-
-class TypeMismatch(CateffTypeError):
-    pass
-
-
-class GradeMismatch(CateffTypeError):
-    pass
-
-
-class NotInWideSubcategory(CateffTypeError):
-    pass
-
-
-class ClauseGradeMismatch(CateffTypeError):
-    pass
-
-
-class ReturnClauseGradeNotIdentity(CateffTypeError):
-    pass
-
-
-class NonPrimitiveHandledType(CateffTypeError):
-    pass
-
-
-class NonPrimitiveCapturedVariable(CateffTypeError):
-    pass
-
-
-class ObjectMismatch(CateffTypeError):
-    pass
-
-
-class MissingClause(CateffTypeError):
-    def __init__(self, op, k):
-        self.op, self.k = op, k
-        at = f"at continuation grade {k}" if k is not None \
-            else "for a dynamically graded call site"
-        super().__init__(f"no clause for operation {op!r} {at}")
-
-
 Ctx = tuple  # of (name, Type), rightmost binding wins
 
 _NONE = frozenset()  # demand and dynamic operations outside handled code
@@ -115,7 +71,7 @@ def lookup(ctx: Ctx, name: str) -> Type:
     for var, ty in reversed(ctx):
         if var == name:
             return ty
-    raise UnboundVariable(f"unbound variable {name!r}")
+    raise CateffTypeError(f"unbound variable {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +88,19 @@ def type_of_value(ctx: Ctx, v: ValueAst, sig: GradedSignature) -> Type:
                         type_of_value(ctx, right, sig))
         case Inl(val, ann):
             if not isinstance(ann, Sum):
-                raise TypeMismatch(f"inl annotated with non-sum type {ann}")
+                raise CateffTypeError(f"inl annotated with non-sum type {ann}")
             got = type_of_value(ctx, val, sig)
             if got != ann.left:
-                raise TypeMismatch(f"inl payload has type {got}, expected {ann.left}")
+                raise CateffTypeError(
+                    f"inl payload has type {got}, expected {ann.left}")
             return ann
         case Inr(val, ann):
             if not isinstance(ann, Sum):
-                raise TypeMismatch(f"inr annotated with non-sum type {ann}")
+                raise CateffTypeError(f"inr annotated with non-sum type {ann}")
             got = type_of_value(ctx, val, sig)
             if got != ann.right:
-                raise TypeMismatch(f"inr payload has type {got}, expected {ann.right}")
+                raise CateffTypeError(
+                    f"inr payload has type {got}, expected {ann.right}")
             return ann
         case Lam():
             return _judge_lambda(ctx, v, sig, None)[0]
@@ -156,7 +114,7 @@ def _judge_lambda(ctx: Ctx, lam: Lam, sig: GradedSignature, lams):
         ctx + ((lam.var, lam.var_type),), lam.body, sig,
         lams and _shadow(lams, lam.var))
     if body_grade != lam.grade:
-        raise GradeMismatch(
+        raise CateffTypeError(
             f"lambda annotated {lam.grade} but body has grade {body_grade}")
     return Arrow(lam.var_type, body_type, body_grade), demand, dynamic
 
@@ -213,7 +171,7 @@ def judge(ctx: Ctx, m: CompAst, sig: GradedSignature, lams):
             decl = sig[op]
             got = type_of_value(ctx, arg, sig)
             if got != decl.param:
-                raise TypeMismatch(
+                raise CateffTypeError(
                     f"operation {op} takes {decl.param}, given {got}")
             if lams is None:
                 return decl.arity, decl.grade, _NONE, _NONE
@@ -238,7 +196,7 @@ def judge(ctx: Ctx, m: CompAst, sig: GradedSignature, lams):
             body_type, g, demand, dynamic = judge(
                 ctx + ((var, bound_type),), body, sig, body_lams)
             if f.cod != g.dom:
-                raise GradeMismatch(
+                raise CateffTypeError(
                     f"let: grade {f} ends at {f.cod} but continuation "
                     f"starts at {g.dom}")
             if lams is not None:
@@ -259,10 +217,11 @@ def judge(ctx: Ctx, m: CompAst, sig: GradedSignature, lams):
                     else:
                         demand, dynamic = set(), set()
             if not isinstance(fn_type, Arrow):
-                raise TypeMismatch(f"application of non-function of type {fn_type}")
+                raise CateffTypeError(
+                    f"application of non-function of type {fn_type}")
             arg_type = type_of_value(ctx, arg, sig)
             if arg_type != fn_type.arg:
-                raise TypeMismatch(
+                raise CateffTypeError(
                     f"argument has type {arg_type}, expected {fn_type.arg}")
             if lams is not None:
                 dynamic |= _escaping(arg, lams)
@@ -270,7 +229,7 @@ def judge(ctx: Ctx, m: CompAst, sig: GradedSignature, lams):
         case Proj(pair, x, y, body):
             pair_type = type_of_value(ctx, pair, sig)
             if not isinstance(pair_type, Prod):
-                raise TypeMismatch(f"split of non-product of type {pair_type}")
+                raise CateffTypeError(f"split of non-product of type {pair_type}")
             ty, g, demand, dynamic = judge(
                 ctx + ((x, pair_type.left), (y, pair_type.right)), body, sig,
                 lams and _shadow(lams, x, y))
@@ -280,7 +239,7 @@ def judge(ctx: Ctx, m: CompAst, sig: GradedSignature, lams):
         case Match(scrut, x, left, y, right):
             scrut_type = type_of_value(ctx, scrut, sig)
             if not isinstance(scrut_type, Sum):
-                raise TypeMismatch(f"case on non-sum of type {scrut_type}")
+                raise CateffTypeError(f"case on non-sum of type {scrut_type}")
             lt, lf, demand, dynamic = judge(
                 ctx + ((x, scrut_type.left),), left, sig,
                 lams and _shadow(lams, x))
@@ -288,21 +247,21 @@ def judge(ctx: Ctx, m: CompAst, sig: GradedSignature, lams):
                 ctx + ((y, scrut_type.right),), right, sig,
                 lams and _shadow(lams, y))
             if lt != rt:
-                raise TypeMismatch(f"case branches have types {lt} and {rt}")
+                raise CateffTypeError(f"case branches have types {lt} and {rt}")
             if lf != rf:
-                raise GradeMismatch(f"case branches have grades {lf} and {rf}")
+                raise CateffTypeError(f"case branches have grades {lf} and {rf}")
             if lams is not None:
                 demand |= right_demand
                 dynamic |= right_dynamic | _escaping(scrut, lams)
             return lt, lf, demand, dynamic
         case Gunit(pre, body, post):
             if not cat.is_wide(pre):
-                raise NotInWideSubcategory(f"weakening {pre} is not in R")
+                raise CateffTypeError(f"weakening {pre} is not in R")
             if not cat.is_wide(post):
-                raise NotInWideSubcategory(f"weakening {post} is not in R")
+                raise CateffTypeError(f"weakening {post} is not in R")
             body_type, f, demand, dynamic = judge(ctx, body, sig, lams)
             if pre.cod != f.dom or f.cod != post.dom:
-                raise GradeMismatch(
+                raise CateffTypeError(
                     f"weaken {pre} {{ grade {f} }} {post}: endpoints do not meet")
             if lams is not None:
                 demand = {(op, compose(k, post)) for op, k in demand}
@@ -324,17 +283,17 @@ def _judge_handle(ctx: Ctx, body: CompAst, h: HandlerAst,
         for name in sorted(free_vars(body)):
             ty = lookup(ctx, name)
             if not is_primitive(ty):
-                raise NonPrimitiveCapturedVariable(
+                raise CateffTypeError(
                     f"handled computation captures {name} of non-primitive "
                     f"type {ty}")
     # captured variables are primitive, so no let-bound lambda is in scope
     body_type, f, demanded, dynamic_ops = judge(ctx, body, h.source, {})
     if f.cod != h.at_obj:
-        raise ObjectMismatch(
+        raise CateffTypeError(
             f"handled computation has grade {f} ending at {f.cod}, "
             f"but handler {h.name} is at {h.at_obj}")
     if body_type != h.in_type:
-        raise TypeMismatch(
+        raise CateffTypeError(
             f"handled computation has type {body_type}, "
             f"handler {h.name} expects {h.in_type}")
     sites = sorted(demanded, key=lambda it: (it[0], it[1].dom, it[1].path))
@@ -360,7 +319,7 @@ def check_handler(h: HandlerAst) -> HandlerAst:
     if None in h.checked:
         return h
     if not (is_primitive(h.in_type) and is_primitive(h.out_type)):
-        raise NonPrimitiveHandledType(
+        raise CateffTypeError(
             f"handler {h.name}: handled and produced types must be primitive")
     if h.functor.source is not h.source.category \
             or h.functor.target is not h.target.category:
@@ -370,21 +329,21 @@ def check_handler(h: HandlerAst) -> HandlerAst:
     ret_type, ret_grade, ret_demand, ret_dynamic = judge(
         ((h.ret_var, h.in_type),), h.ret_body, h.target, {})
     if ret_type != h.out_type:
-        raise TypeMismatch(
+        raise CateffTypeError(
             f"handler {h.name}: return clause has type {ret_type}, "
             f"declared {h.out_type}")
     if not (ret_grade.is_identity and ret_grade.dom == at_img):
-        raise ReturnClauseGradeNotIdentity(
+        raise CateffTypeError(
             f"handler {h.name}: return clause has grade {ret_grade}, "
             f"expected id({at_img})")
     for (op, k), clause in h.clauses.items():
         decl = h.source[op]
         if k.cod != h.at_obj:
-            raise ClauseGradeMismatch(
+            raise CateffTypeError(
                 f"handler {h.name}: clause for {op} at {k} does not end "
                 f"at {h.at_obj}")
         if k.dom != decl.grade.cod:
-            raise ClauseGradeMismatch(
+            raise CateffTypeError(
                 f"handler {h.name}: clause for {op} at {k} does not start "
                 f"at the codomain {decl.grade.cod} of the operation grade")
         _check_clause(h, op, k)
@@ -392,7 +351,7 @@ def check_handler(h: HandlerAst) -> HandlerAst:
         unbound = free_vars(clause.body) \
             - {clause.param_var, clause.resume_var}
         if unbound:
-            raise UnboundVariable(
+            raise CateffTypeError(
                 f"handler {h.name}: unbound variable {min(unbound)!r} "
                 f"in the default clause for {op}")
     h.checked[None] = (ret_demand, ret_dynamic)
@@ -424,11 +383,11 @@ def _check_clause(h: HandlerAst, op: str, k: Morphism | None) -> tuple:
     body_type, body_grade, demand, dynamic = judge(
         ctx, clause.body, h.target, {clause.resume_var: resume})
     if body_type != h.out_type:
-        raise TypeMismatch(
+        raise CateffTypeError(
             f"handler {h.name}: clause for {decl.name} has type {body_type}, "
             f"declared {h.out_type}")
     if body_grade != expected:
-        raise ClauseGradeMismatch(
+        raise CateffTypeError(
             f"handler {h.name}: {site} has grade {body_grade}, "
             f"expected {expected}")
     after = {g for name, g in demand if name == _RESUME}
@@ -452,7 +411,9 @@ def clause_for(h: HandlerAst, op: str, k: Morphism | None) -> Clause:
     """Clause selection: explicit clause at this k first, then the default."""
     clause = h.clauses.get((op, k)) or h.defaults.get(op)
     if clause is None:
-        raise MissingClause(op, k)
+        at = f"at continuation grade {k}" if k is not None \
+            else "for a dynamically graded call site"
+        raise CateffTypeError(f"no clause for operation {op!r} {at}")
     return clause
 
 
@@ -476,10 +437,10 @@ def _ops_syntactically_in(node) -> set:
 def check_program(prog: Program) -> Judgement:
     ty, grade = grade_of_computation((), prog.body, prog.signature)
     if ty != prog.ann_type:
-        raise TypeMismatch(
+        raise CateffTypeError(
             f"program {prog.name}: body has type {ty}, declared {prog.ann_type}")
     if grade != prog.ann_grade:
-        raise GradeMismatch(
+        raise CateffTypeError(
             f"program {prog.name}: body has grade {grade}, "
             f"declared {prog.ann_grade}")
     return Judgement(ty, grade)

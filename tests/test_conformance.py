@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ from cateff.parser import parse_bundle
 from cateff.signature import UNIT, is_primitive
 from cateff.terms import App, Handle, Let, OpCall, StarV, Val, pp_comp
 from cateff.typecheck import (
-    ClauseGradeMismatch, check_bundle, clause_for, grade_of_computation,
+    CateffTypeError, check_bundle, clause_for, grade_of_computation,
 )
 from conftest import theory_text
 
@@ -117,11 +118,11 @@ def test_check_rejects_a_clause_failing_at_a_dynamic_site():
         f () in do back(())) with h
     }
     """)
-    with pytest.raises(ClauseGradeMismatch) as exc:
+    message = ("handler h: default clause for act at a dynamically graded "
+               "call site has grade <k>, expected p;<k>")
+    with pytest.raises(CateffTypeError, match=message) as exc:
         check_bundle(bundle)
-    assert str(exc.value) == ("handler h: default clause for act at a "
-                              "dynamically graded call site has grade <k>, "
-                              "expected p;<k>")
+    assert str(exc.value) == message
 
 
 def test_unit_program_generator_meets_the_adequacy_preconditions(session_bundle):
@@ -318,6 +319,28 @@ def test_an_ill_typed_contractum_is_reported_not_raised(pair_bundle,
     failed = [r for r in report.results if not r.passed]
     assert failed and not report.ok
     assert any("cannot apply S-App" in r.detail for r in failed)
+
+
+def test_an_ill_graded_configuration_is_reported_not_raised(monkeypatch):
+    # sabotage the steps the checks consume: the third configuration of
+    # each WideSig run binds a value at lo in front of a computation at pt.
+    # Lemma-shapes judges it and reports the let; denoting it raises nothing
+    import cateff.conformance as conf
+    real_steps = conf.steps
+
+    def ill_graded(m, sig, max_steps):
+        for i, (config, d) in enumerate(real_steps(m, sig, max_steps)):
+            if sig.name == "WideSig" and i == 2:
+                config = Let("x", Val("lo", StarV()), config)
+            yield config, d
+
+    monkeypatch.setattr(conf, "steps", ill_graded)
+    runtime = Path(__file__).parent / "golden" / "runtime.ceff"
+    report = run_conformance(parse_bundle(runtime.read_text(encoding="utf-8")),
+                             count=40)
+    assert ("FAIL lemma-shapes[let_lambda]: preservation broken: let: grade "
+            "id(lo) ends at lo but continuation starts at pt"
+            in [r.line() for r in report.results])
 
 
 def test_checks_pass_on_a_budget_of_exactly_the_steps_needed(pair_bundle):

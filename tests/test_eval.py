@@ -14,7 +14,7 @@ from cateff.terms import (
     free_vars, fresh_name, pp_comp,
 )
 from cateff.typecheck import (
-    MissingClause, check_bundle, grade_of_computation,
+    CateffTypeError, check_bundle, grade_of_computation,
 )
 from conftest import theory_text
 
@@ -254,7 +254,9 @@ def test_runtime_missing_clause_without_static_check():
     bad = Handle(Let("x", OpCall("act", StarV()),
                      Let("y", OpCall("act", StarV()), Val("z", StarV()))),
                  handler)
-    with pytest.raises(MissingClause):
+    with pytest.raises(CateffTypeError,
+                       match="no clause for operation 'act' at continuation "
+                             "grade p$"):
         run(bad, sig)
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from cateff.denote import denote_computation
 from cateff.freemodel import (
-    Coerce, GradeHeterogeneous, Leaf, Node, coerce, grade_of, graft,
+    Coerce, Leaf, Node, coerce, grade_of, graft,
     tree_to_json,
 )
 from cateff.grading import build_category, compose
@@ -55,17 +55,6 @@ def test_graft_two_leaf_node_against_hand_expanded_tree():
     grafted = graft(two_leaf, phi, cat)
     assert grafted == expected
     assert grade_of(grafted, cat) == compose(q, p)
-
-
-def test_graft_rejects_mixed_grades():
-    cat = one_object_cat()
-    p, q = cat.morphism(("p",)), cat.morphism(("q",))
-    two_leaf = node("delta", q, STAR,
-                         (Leaf("z", A), Leaf("z", B)))
-    images = {A: node("sigma", p, STAR, (Leaf("z", STAR),)),
-              B: node("tau", q, STAR, (Leaf("z", STAR),))}
-    with pytest.raises(GradeHeterogeneous):
-        graft(two_leaf, images.__getitem__, cat)
 
 
 def test_graft_associativity_on_generated_trees(session_bundle):

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cateff.grading import (
-    EndpointMismatch, GradingCategory, GradingFunctor, NonTerminatingRules,
-    NotComposable, NotLocallyConfluent, UnknownGenerator, build_category,
-    compose,
+    GradingCategory, GradingError, GradingFunctor, build_category, compose,
 )
 from conftest import morphisms_from, pair_completion, pair_name
 
@@ -35,21 +33,23 @@ def test_trivial_category_has_only_identities():
 
 
 def test_rule_with_unequal_endpoints_rejected():
-    with pytest.raises(EndpointMismatch):
+    with pytest.raises(GradingError,
+                       match="rule f = g: sides have different endpoints"):
         build_category("Bad", ["a", "b", "c"],
                        [("f", "a", "b"), ("g", "a", "c")],
                        rules=[(("f",), ("g",))])
 
 
 def test_growing_rule_is_rejected_as_nonterminating():
-    with pytest.raises(NonTerminatingRules):
+    with pytest.raises(GradingError,
+                       match="rewriting of g exceeded 10000 steps"):
         build_category("Loop", ["a"], [("g", "a", "a")],
                        rules=[(("g",), ("g", "g"))])
 
 
 def test_ambiguous_rules_rejected_as_nonconfluent():
     message = "path g.h rewrites to distinct normal forms ['k1', 'k2']"
-    with pytest.raises(NotLocallyConfluent, match=re.escape(message)):
+    with pytest.raises(GradingError, match=re.escape(message)):
         build_category("Amb", ["a"],
                        [("g", "a", "a"), ("h", "a", "a"),
                         ("k1", "a", "a"), ("k2", "a", "a")],
@@ -78,7 +78,8 @@ def probe_accepts(cat):
 def critical_pairs_accept(objects, gens, rules):
     try:
         build_category("P", objects, gens, rules)
-    except NotLocallyConfluent:
+    except GradingError as exc:
+        assert "rewrites to distinct normal forms" in str(exc)
         return False
     return True
 
@@ -159,7 +160,9 @@ def test_compose_without_applicable_rule_keeps_the_path():
 
 def test_compose_endpoint_mismatch():
     cat = session_category()
-    with pytest.raises(NotComposable):
+    with pytest.raises(GradingError,
+                       match="cod int of send_int differs from dom one of "
+                             "tau_1_int"):
         compose(cat.morphism(("send_int",)), cat.morphism(("tau_1_int",)))
 
 
@@ -243,7 +246,8 @@ def test_functor_rejects_morphism_of_wrong_category():
     proto, point = proto_category(), point_category()
     G = collapse_functor(proto, point)
     other = session_category()
-    with pytest.raises(UnknownGenerator):
+    with pytest.raises(GradingError,
+                       match="functor Collapse: morphism not in source"):
         G.apply(other.morphism(("send_int",)))
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, the package
-defines nothing, not even a method, that only tests name, and only the
-checker and its callers handle a type error.
+defines nothing, not even a method, that only tests name, only the checker
+and its callers handle a type error, and every error class is caught by
+name somewhere.
 
 The checks read the AST, so they need no linter.  An imported name counts
 as used when it is loaded anywhere in the module, appears in a string
@@ -134,3 +135,24 @@ def test_only_the_checker_and_its_callers_handle_type_errors():
                     and "CateffTypeError" in _named(node.type):
                 handlers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert handlers == []
+
+
+def test_every_exception_class_is_caught_by_name():
+    # an error class that no caller catches by name tells callers nothing
+    # its base class does not; Stuck goes with the weakening shapes it
+    # blocks on, once they have step rules (ROADMAP item 8)
+    readers = [*PACKAGE, *(ROOT / "perfbench").glob("*.py")]
+    caught = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _named(node.type)
+    classes = [stmt for path in PACKAGE
+               for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(stmt, ast.ClassDef)]
+    errors, size = {"Exception"}, 0
+    while len(errors) != size:
+        size = len(errors)
+        errors |= {cls.name for cls in classes
+                   if any(_named(base) & errors for base in cls.bases)}
+    assert sorted(errors - caught - {"Exception", "Stuck"}) == []

@@ -1,11 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cateff.grading import build_category
 from cateff.signature import (
-    Arrow, DuplicateOp, GradedSignature, InlV, InrV, NonComparable,
-    NonPrimitiveType, OpDecl, PairV, Prod, STAR, Star, Sum, UNIT,
-    UnknownMorphism, enumerate_type, is_primitive, FunV,
+    Arrow, GradedSignature, InlV, InrV, NonComparable, OpDecl, PairV, Prod,
+    STAR, SignatureError, Star, Sum, UNIT, enumerate_type, is_primitive, FunV,
 )
 
 BOOL = Sum(UNIT, UNIT)
@@ -31,7 +32,8 @@ def test_empty_signature_over_trivial_category():
 
 def test_op_graded_in_another_category_is_rejected():
     cat, other = trivial_cat(), trivial_cat("Other")
-    with pytest.raises(UnknownMorphism):
+    with pytest.raises(SignatureError,
+                       match="operation op: grade is not a morphism of Triv"):
         GradedSignature("Bad", cat,
                         [OpDecl("op", UNIT, UNIT, other.identity("z"))])
 
@@ -39,16 +41,18 @@ def test_op_graded_in_another_category_is_rejected():
 def test_non_primitive_parameter_is_rejected():
     cat = trivial_cat()
     arrow = Arrow(UNIT, UNIT, cat.identity("z"))
-    with pytest.raises(NonPrimitiveType):
+    with pytest.raises(SignatureError,
+                       match="operation op: parameter not primitive"):
         GradedSignature("Bad", cat, [OpDecl("op", arrow, UNIT, cat.identity("z"))])
-    with pytest.raises(NonPrimitiveType):
+    with pytest.raises(SignatureError,
+                       match="operation op: arity not primitive"):
         GradedSignature("Bad", cat, [OpDecl("op", UNIT, arrow, cat.identity("z"))])
 
 
 def test_duplicate_operation_is_rejected():
     cat = trivial_cat()
     op = OpDecl("op", UNIT, UNIT, cat.identity("z"))
-    with pytest.raises(DuplicateOp):
+    with pytest.raises(SignatureError, match="operation 'op' declared twice"):
         GradedSignature("Bad", cat, [op, op])
 
 
@@ -75,7 +79,9 @@ def test_enumerate_sum_lists_left_before_right():
 
 def test_enumerate_rejects_arrows():
     cat = trivial_cat()
-    with pytest.raises(NonPrimitiveType):
+    with pytest.raises(SignatureError,
+                       match=re.escape("cannot enumerate non-primitive "
+                                       "type 1 -> 1 @ id(z)")):
         enumerate_type(Arrow(UNIT, UNIT, cat.identity("z")))
 
 

@@ -1,12 +1,13 @@
 import random
+from pathlib import Path
 from typing import get_args
 
 import pytest
 
-from cateff.eval import run_program
+from cateff.eval import Stuck, run_program, steps
 from cateff.grading import GradingCategory
 from cateff.parser import (
-    KEYWORDS, SYMBOLS, CeffSyntaxError, UnboundName, parse_bundle, tokenize,
+    KEYWORDS, SYMBOLS, CeffSyntaxError, Parser, parse_bundle, tokenize,
 )
 from cateff.signature import UNIT, Sum
 from cateff.terms import (
@@ -16,6 +17,7 @@ from cateff.terms import (
 )
 from cateff.typecheck import check_bundle, check_program
 from conftest import theory_text
+from test_golden import FILES
 
 MINI = """
 category C { objects a; gen f : a -> a; }
@@ -47,12 +49,15 @@ def test_parse_session_term_t_is_four_nested_lets(session_bundle):
 
 
 def test_undeclared_op_reference_is_unbound():
-    with pytest.raises(UnboundName):
+    with pytest.raises(CeffSyntaxError,
+                       match="unknown operation 'tock' in signature S at "
+                             "4:35"):
         mini_program("do tock(())")
 
 
 def test_undeclared_handler_is_unbound():
-    with pytest.raises(UnboundName):
+    with pytest.raises(CeffSyntaxError,
+                       match="unknown handler 'nope' at 4:55"):
         mini_program("handle (val a ()) with nope")
 
 
@@ -129,21 +134,26 @@ def test_numeric_characters_other_than_decimal_digits_start_identifiers():
 
 
 def test_unknown_category_reference_is_unbound():
-    with pytest.raises(UnboundName):
+    with pytest.raises(CeffSyntaxError,
+                       match="unknown category 'Nowhere' at 1:18"):
         parse_bundle("signature S over Nowhere { }")
-    with pytest.raises(UnboundName):
+    with pytest.raises(CeffSyntaxError,
+                       match="unknown category 'Nowhere' at 1:44"):
         parse_bundle("category C { objects a; } "
                      "functor F : C -> Nowhere { obj a => a; }")
 
 
 def test_unknown_generator_in_grade_path_is_unbound():
-    with pytest.raises(UnboundName):
+    with pytest.raises(CeffSyntaxError,
+                       match="unknown generator 'ghost' in category C at "
+                             "1:64"):
         parse_bundle("category C { objects a; } "
                      "signature S over C { op t : 1 ~> 1 @ ghost; }")
 
 
 def test_unknown_object_in_val_is_unbound():
-    with pytest.raises(UnboundName):
+    with pytest.raises(CeffSyntaxError,
+                       match="unknown object 'nowhere' in category C at 4:36"):
         mini_program("val nowhere ()")
 
 
@@ -224,6 +234,26 @@ def test_parse_after_pretty_print_is_identity(theory):
         # Morphism reprs omit the category, so reprs compare across bundles
         assert repr(again) == repr(body), src
         assert pp_comp(again) == src
+
+
+@pytest.mark.parametrize("file", FILES)
+def test_every_run_configuration_reparses(file):
+    # `cateff run --trace` prints each configuration with pp_comp
+    bundle = parse_bundle(Path(FILES[file]).read_text(encoding="utf-8"), file)
+    for prog in bundle.programs.values():
+        sig = prog.signature
+        configs = []
+        try:
+            for config, _ in steps(prog.body, sig):
+                configs.append(config)
+        except Stuck:  # the configurations before a blocked one still print
+            pass
+        for config in configs:
+            parser = Parser(pp_comp(config))
+            parser.bundle = bundle
+            again = parser.parse_comp((sig.category, sig))
+            assert parser.peek().kind == "eof", pp_comp(config)
+            assert again == config, pp_comp(config)
 
 
 def test_arrow_types_print_as_the_parser_reads_them():
