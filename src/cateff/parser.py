@@ -258,7 +258,9 @@ class Parser:
             return Lam(grade, var, var_type, body)
         return self.parse_value_atom(amb)
 
-    def parse_value_atom(self, amb) -> ValueAst:
+    def parse_value_atom(self, amb, in_comp=False) -> ValueAst | App:
+        """A value atom, or, ``in_comp``, also the parenthesized
+        application ``(V W)`` that ``handle (V W) with H`` prints."""
         tok = self.peek()
         if tok.kind == "ident":
             if tok.text == "_":
@@ -270,12 +272,21 @@ class Parser:
             if self.peek().kind == ")":
                 self.next()
                 return StarV()
+            atom = self.peek().kind in ("(", "ident")  # V of `(V W)` is one
             first = self.parse_value(amb)
             if self.peek().kind == ",":
                 self.next()
                 second = self.parse_value(amb)
                 self.expect(")")
                 return Pair(first, second)
+            if in_comp and atom and self.peek().kind != ")":
+                after = self.pos
+                try:
+                    arg = self.parse_value_atom(amb)
+                    self.expect(")")
+                    return App(first, arg)
+                except CeffSyntaxError:  # not that either: `)` is missing
+                    self.pos = after
             self.expect(")")
             return first
         self.fail(f"expected a value, found {tok.text or 'end of file'!r}")
@@ -354,22 +365,10 @@ class Parser:
             comp = self.parse_comp(amb)
             self.expect(")")
             return comp
-        start = self.pos
-        try:
-            fn = self.parse_value_atom(amb)
-            return App(fn, self.parse_value_atom(amb))
-        except CeffSyntaxError as first:
-            if tok.kind != "(":
-                raise
-            # not `(V) W`: a parenthesized application, as `handle (V W)`
-            # prints; a file that fails both readings reports the first
-            self.pos = start + 1
-            try:
-                comp = self.parse_comp(amb)
-                self.expect(")")
-                return comp
-            except CeffSyntaxError:
-                raise first from None
+        fn = self.parse_value_atom(amb, in_comp=True)
+        if isinstance(fn, App):
+            return fn
+        return App(fn, self.parse_value_atom(amb))
 
     def _handler_of_upcoming_with(self) -> HandlerAst:
         # the handled computation is parsed in the handler's source theory,
