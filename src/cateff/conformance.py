@@ -20,11 +20,12 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .denote import DenoteError, denote_computation
+from .denote import denote_computation
 from .eval import (
     DEFAULT_MAX_STEPS, EvalError, MaxStepsExceeded, OpAtTop, run, steps,
 )
 from .freemodel import Leaf, tree_to_json
+from .grading import GradingError
 from .signature import (
     GradedSignature, Prod, STAR, Sum, Type, UNIT, is_primitive,
 )
@@ -78,10 +79,17 @@ def verify_soundness_along_trace(comp: CompAst, sig: GradedSignature,
     if not is_primitive(ty):
         return CheckResult("soundness", False,
                            "program rejected: result type is not primitive")
+    trees = []
     try:
-        trees = [denote_computation((), m, (), sig)
-                 for m, _ in steps(comp, sig, max_steps)]
-    except (EvalError, DenoteError) as exc:
+        for m, _ in steps(comp, sig, max_steps):
+            try:
+                trees.append(denote_computation((), m, (), sig))
+            except Exception:
+                # only a well-typed configuration denotes: the checker says
+                # why this one does not, or else the error is denote's own
+                grade_of_computation((), m, sig)
+                raise
+    except (EvalError, CateffTypeError) as exc:
         return CheckResult("soundness", False, str(exc))
     for i, tree in enumerate(trees):
         if tree != trees[0]:
@@ -108,7 +116,7 @@ def verify_adequacy(comp: CompAst, sig: GradedSignature,
         final = run(comp, sig, max_steps).final
     except MaxStepsExceeded:
         return CheckResult("adequacy", False, f"no value within {max_steps} steps")
-    except EvalError as exc:
+    except (EvalError, CateffTypeError) as exc:
         return CheckResult("adequacy", False, str(exc))
     if isinstance(final, OpAtTop):
         return CheckResult("adequacy", False, f"suspended on operation {final.op}")
@@ -359,7 +367,7 @@ def run_conformance(bundle, seed=0, count=200, depth=4,
     report = ConformanceReport()
     try:
         judgements = check_bundle(bundle)
-    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+    except (CateffTypeError, GradingError) as exc:
         report.add("typecheck", False, str(exc))
         return report
     report.add("typecheck", True, f"{len(judgements)} program(s)")

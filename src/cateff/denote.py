@@ -6,6 +6,9 @@ denotation of its result type.  Let is grafting, operation calls become
 one-layer nodes over canonical leaves, handlers fold trees leaf- and
 node-wise along their grading functor, and grade weakenings wrap the tree in
 coercion nodes (pre-coercion at the root, post-coercion at every leaf).
+
+As in the paper, only well-typed terms have a denotation: nothing here
+re-checks what the checker guarantees (an unbound name is a ``KeyError``).
 """
 from __future__ import annotations
 
@@ -20,15 +23,11 @@ from .terms import (
 from .typecheck import clause_for
 
 
-class DenoteError(Exception):
-    pass
-
-
 def _lookup(names: tuple, env: tuple, name: str) -> SemValue:
     for i in range(len(names) - 1, -1, -1):
         if names[i] == name:
             return env[i]
-    raise DenoteError(f"unbound variable {name!r} in environment")
+    raise KeyError(name)
 
 
 def denote_value(names: tuple, v: ValueAst, env: tuple,
@@ -48,7 +47,6 @@ def denote_value(names: tuple, v: ValueAst, env: tuple,
         case Lam(_, var, _, body):
             return FunV(lambda w: denote_computation(
                 names + (var,), body, env + (w,), sig))
-    raise DenoteError(f"not a value: {v!r}")
 
 
 def denote_computation(names: tuple, m: CompAst, env: tuple,
@@ -71,13 +69,9 @@ def denote_computation(names: tuple, m: CompAst, env: tuple,
                          cat)
         case App(fn, arg):
             fv = denote_value(names, fn, env, sig)
-            if not isinstance(fv, FunV):
-                raise DenoteError("application of a non-function denotation")
             return fv(denote_value(names, arg, env, sig))
         case Proj(pair, x, y, body):
             pv = denote_value(names, pair, env, sig)
-            if not isinstance(pv, PairV):
-                raise DenoteError("split of a non-pair denotation")
             return denote_computation(names + (x, y), body,
                                       env + (pv.left, pv.right), sig)
         case Match(scrut, x, left, y, right):
@@ -85,10 +79,8 @@ def denote_computation(names: tuple, m: CompAst, env: tuple,
             if isinstance(sv, InlV):
                 return denote_computation(names + (x,), left,
                                           env + (sv.val,), sig)
-            if isinstance(sv, InrV):
-                return denote_computation(names + (y,), right,
-                                          env + (sv.val,), sig)
-            raise DenoteError("case on a non-sum denotation")
+            return denote_computation(names + (y,), right,
+                                      env + (sv.val,), sig)
         case Handle(body, handler):
             fold = denote_handler(handler)
             return fold(denote_computation(names, body, env, handler.source))
@@ -98,7 +90,6 @@ def denote_computation(names: tuple, m: CompAst, env: tuple,
                            lambda x: coerce(post, Leaf(post.cod, x)),
                            cat)
             return coerce(pre, lifted)
-    raise DenoteError(f"not a computation: {m!r}")
 
 
 def denote_handler(h: HandlerAst):
@@ -115,11 +106,7 @@ def denote_handler(h: HandlerAst):
 
     def fold(t: TermTree) -> TermTree:
         match t:
-            case Leaf(obj, v):
-                if obj != h.at_obj:
-                    raise DenoteError(
-                        f"handler {h.name} folds trees at {h.at_obj}, "
-                        f"found a leaf at {obj}")
+            case Leaf(_, v):
                 return denote_computation((h.ret_var,), h.ret_body, (v,),
                                           target)
             case Node(op, _, param, k, children):
@@ -131,7 +118,6 @@ def denote_handler(h: HandlerAst):
                                           clause.body, (param, rfun), target)
             case Coerce(r, child):
                 return coerce(h.functor.apply(r), fold(child))
-        raise DenoteError(f"not a term tree: {t!r}")
 
     return fold
 

@@ -130,12 +130,12 @@ class Clause:
     body: CompAst
 
 
-@dataclass(eq=True)
+@dataclass(eq=False)  # a top-level declaration: equal only to itself
 class HandlerAst:
     name: str
-    source: GradedSignature = field(compare=False)
-    target: GradedSignature = field(compare=False)
-    functor: GradingFunctor = field(compare=False)
+    source: GradedSignature
+    target: GradedSignature
+    functor: GradingFunctor
     at_obj: str
     in_type: Type
     out_type: Type
@@ -147,10 +147,7 @@ class HandlerAst:
     # operations) of each clause instance it has accepted, (op, None) -> the
     # default clause's at a dynamically graded call site, None -> the return
     # clause's, once the handler's eager checks have passed
-    checked: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __hash__(self):
-        return hash(self.name)
+    checked: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-import cateff
+import cateff.conformance
 from cateff import grading
 from cateff.cli import main
 from conftest import theory_path
@@ -65,6 +65,27 @@ def test_deeply_nested_program_is_an_error_line(command, tmp_path, capsys):
     assert main([command, str(deep)]) == 1
     assert capsys.readouterr().err == (
         f"error: {deep}: program nests too deeply for cateff\n")
+
+
+def test_conform_reports_a_checker_overflow_as_too_deep(tmp_path, capsys,
+                                                        monkeypatch):
+    # conform's typecheck line reports type errors only: a recursion
+    # overflow in the checker is the same error line as in check
+    def overflow(bundle):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cateff.conformance, "check_bundle", overflow)
+    path = tmp_path / "p.ceff"
+    path.write_text("""
+    category C { objects a; }
+    signature S over C { }
+    program p over S : 1 @ id(a) { val a () }
+    """)
+    assert main(["conform", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: program nests too deeply for cateff\n")
 
 
 def test_unparsable_file_exits_one(tmp_path, capsys):

@@ -12,7 +12,9 @@ from cateff.conformance import (
 )
 from cateff.parser import parse_bundle
 from cateff.signature import UNIT, is_primitive
-from cateff.terms import App, Handle, Let, OpCall, StarV, Val, pp_comp
+from cateff.terms import (
+    App, Handle, Let, Match, OpCall, Proj, StarV, Val, pp_comp,
+)
 from cateff.typecheck import (
     CateffTypeError, check_bundle, clause_for, grade_of_computation,
 )
@@ -350,3 +352,141 @@ def test_checks_pass_on_a_budget_of_exactly_the_steps_needed(pair_bundle):
         assert check(prog.body, prog.signature, max_steps=7).passed
         res = check(prog.body, prog.signature, max_steps=6)
         assert not res.passed
+
+
+# a machine that leaves x free in a let frame under a handler: resuming
+# op1 judges that frame, so the step engine itself raises the type error
+FRAME_REPRO = """
+category Proto { objects c; gen g : c -> c; }
+category Point { objects pt; }
+functor F : Proto -> Point { obj c => pt; gen g => id; }
+signature ProtoSig over Proto { op op1 : 1 ~> 1 @ g; }
+signature PointSig over Point { }
+handler h over ProtoSig to PointSig via F at c : 1 => 1 {
+  return z => val pt z;
+  op op1(p), r => r ();
+}
+program u over PointSig : 1 @ id(pt) {
+  handle (let x <- val c () in let y <- do op1(()) in
+          let w <- val c x in val c w) with h
+}
+"""
+
+# each sabotage makes one rule return an ill-typed contractum
+SABOTAGES = {
+    "app_of_star": ("S-Let", lambda d: App(StarV(), StarV())),
+    "let_unsubstituted": ("S-Let", lambda d: d.redex.body),
+    "split_of_star": ("S-Let",
+                      lambda d: Proj(StarV(), "a", "b", d.redex.bound)),
+    "case_on_star": ("S-Let", lambda d: Match(StarV(), "a", d.redex.bound,
+                                              "b", d.redex.bound)),
+    "ret_unsubstituted": ("S-HandleRet", lambda d: d.redex.handler.ret_body),
+}
+
+
+def _programs(*names):
+    return [f"{check}[{name}]" for name in names
+            for check in ("soundness", "lemma-shapes")]
+
+
+def _corpora(*sigs, adequacy=True):
+    checks = ("generated", "adequacy") if adequacy else ("generated",)
+    return [f"{check}[{sig}]" for sig in sigs for check in checks]
+
+
+RUNTIME_PROGRAMS = ("let_lambda", "split_lambda", "weakened_handle", "blocked")
+# an ill-typed redex fails every program and corpus that reaches a let
+BAD_REDEX = {
+    "session": _corpora("SessionSig"),
+    "pair_handler": _programs("pair_main") + _corpora("ProtoSig", "PointSig"),
+    "mutstore": _programs("main")
+    + _corpora("PlanSig", "FixedSig", "FinalSig"),
+    "widened": _corpora("SubSig"),
+    "runtime": _programs(*RUNTIME_PROGRAMS) + _corpora("ProtoSig", "WideSig"),
+}
+# the failing checks of each sabotaged machine, recorded before soundness
+# asked the checker; the frame repro raised CateffTypeError then
+FAILING = {
+    **{(sabotage, theory): names for theory, names in BAD_REDEX.items()
+       for sabotage in ("app_of_star", "split_of_star", "case_on_star")},
+    ("let_unsubstituted", "session"): _corpora("SessionSig", adequacy=False),
+    ("let_unsubstituted", "pair_handler"): _programs("pair_main")
+    + _corpora("ProtoSig", "PointSig", adequacy=False),
+    ("let_unsubstituted", "mutstore"): _programs("main")
+    + _corpora("PlanSig", "FixedSig", "FinalSig", adequacy=False),
+    ("let_unsubstituted", "widened"): _corpora("SubSig", adequacy=False),
+    ("let_unsubstituted", "runtime"): _programs(*RUNTIME_PROGRAMS)
+    + _corpora("ProtoSig", "WideSig", adequacy=False),
+    ("let_unsubstituted", "frame"): _programs("u") + ["adequacy[u]"]
+    + _corpora("ProtoSig", "PointSig", adequacy=False),
+    ("ret_unsubstituted", "session"): [],
+    ("ret_unsubstituted", "pair_handler"): _programs("pair_main"),
+    ("ret_unsubstituted", "mutstore"): _programs("main")
+    + _corpora("FixedSig", "FinalSig", adequacy=False),
+    ("ret_unsubstituted", "widened"): [],
+    ("ret_unsubstituted", "runtime"): _programs(*RUNTIME_PROGRAMS),
+}
+
+
+def _source(name):
+    if name == "frame":
+        return FRAME_REPRO
+    if name == "runtime":
+        golden = Path(__file__).parent / "golden" / "runtime.ceff"
+        return golden.read_text(encoding="utf-8")
+    return theory_text(name)
+
+
+@pytest.mark.parametrize("sabotage, theory", sorted(FAILING))
+def test_a_broken_machine_is_reported_not_raised(sabotage, theory,
+                                                 monkeypatch):
+    # soundness denotes the broken machine's configurations, and one that
+    # fails to denote is reported with the checker's message: the same one
+    # lemma-shapes reports for it after its own prefix
+    rule, contractum = SABOTAGES[sabotage]
+    real_apply = cateff.eval._apply_rule
+
+    def broken(d):
+        return contractum(d) if d.rule == rule else real_apply(d)
+
+    monkeypatch.setattr(cateff.eval, "_apply_rule", broken)
+    report = run_conformance(parse_bundle(_source(theory)), count=40)
+    failed = {r.name: r.detail for r in report.results if not r.passed}
+    assert list(failed) == FAILING[sabotage, theory]
+    for name, detail in failed.items():
+        if name.startswith("soundness["):
+            shapes = failed[name.replace("soundness", "lemma-shapes")]
+            assert shapes.split(": ", 1)[1] == detail
+
+
+def test_soundness_judges_no_configuration_that_denotes(pair_bundle,
+                                                        monkeypatch):
+    # the program is judged once up front; its configurations all denote,
+    # so the checker is not asked about any of them
+    import cateff.conformance as conf
+    calls = []
+    real_judge = conf.grade_of_computation
+
+    def counting(ctx, m, sig):
+        calls.append(m)
+        return real_judge(ctx, m, sig)
+
+    monkeypatch.setattr(conf, "grade_of_computation", counting)
+    prog = pair_bundle.programs["pair_main"]
+    assert verify_soundness_along_trace(prog.body, prog.signature).passed
+    assert len(calls) == 1
+
+
+def test_a_denotation_error_on_a_well_typed_configuration_is_raised(
+        pair_bundle, monkeypatch):
+    # the checker accepts the configuration, so the error is the
+    # denotation's own and no check verdict may hide it
+    import cateff.conformance as conf
+
+    def failing(names, m, env, sig):
+        raise ZeroDivisionError("denotation bug")
+
+    monkeypatch.setattr(conf, "denote_computation", failing)
+    prog = pair_bundle.programs["pair_main"]
+    with pytest.raises(ZeroDivisionError, match="denotation bug"):
+        verify_soundness_along_trace(prog.body, prog.signature)

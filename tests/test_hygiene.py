@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses, the package
 defines nothing, not even a method, that only tests name, only the checker
-and its callers handle a type error, and every error class is caught by
-name somewhere.
+and its callers handle a type error, every error class is caught by name
+somewhere, and no catch-all handler swallows what it catches.
 
 The checks read the AST, so they need no linter.  An imported name counts
 as used when it is loaded anywhere in the module, appears in a string
@@ -156,3 +156,18 @@ def test_every_exception_class_is_caught_by_name():
         errors |= {cls.name for cls in classes
                    if any(_named(base) & errors for base in cls.bases)}
     assert sorted(errors - caught - {"Exception", "Stuck"}) == []
+
+
+def test_no_catch_all_swallows_an_error():
+    # a handler of every error may look at one but must pass it on: caught
+    # as anything, a bug or a recursion overflow would read as a verdict
+    swallowing = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and (
+                    node.type is None or
+                    _named(node.type) & {"Exception", "BaseException"}):
+                last = node.body[-1]
+                if not (isinstance(last, ast.Raise) and last.exc is None):
+                    swallowing.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert swallowing == []
