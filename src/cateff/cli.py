@@ -16,7 +16,7 @@ from .grading import GradingError
 from .parser import CeffSyntaxError, load_bundle
 from .signature import NonComparable, SignatureError
 from .terms import pp_comp
-from .typecheck import CateffTypeError, check_bundle, grade_of_computation
+from .typecheck import CateffTypeError, check_bundle
 
 
 def _load(path):
@@ -47,10 +47,9 @@ def cmd_run(args, bundle, judgements) -> int:
             print(f"{name}: error: {exc}", file=sys.stderr)
             status = 2
             continue
-        if args.trace:
+        if args.trace:  # every configuration keeps the program's grade
             for i, config in enumerate(trace.configs):
-                _, grade = grade_of_computation((), config, prog.signature)
-                print(f"{name}[{i}] @ {grade}: {pp_comp(config)}")
+                print(f"{name}[{i}] @ {judgements[name].grade}: {pp_comp(config)}")
         final = trace.final
         if isinstance(final, Terminal):
             note = "  (residual weakening)" if final.weakens else ""

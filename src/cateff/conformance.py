@@ -79,17 +79,20 @@ def verify_soundness_along_trace(comp: CompAst, sig: GradedSignature,
     if not is_primitive(ty):
         return CheckResult("soundness", False,
                            "program rejected: result type is not primitive")
-    trees = []
+    trees, denote_error = [], None
     try:
         for m, _ in steps(comp, sig, max_steps):
             try:
                 trees.append(denote_computation((), m, (), sig))
-            except Exception:
+            except Exception as exc:
                 # only a well-typed configuration denotes: the checker says
                 # why this one does not, or else the error is denote's own
                 grade_of_computation((), m, sig)
+                denote_error = exc
                 raise
     except (EvalError, CateffTypeError) as exc:
+        if exc is denote_error:  # a bug of denote is no verdict
+            raise
         return CheckResult("soundness", False, str(exc))
     for i, tree in enumerate(trees):
         if tree != trees[0]:
@@ -200,7 +203,7 @@ class TermGenerator:
         self.pure_only = pure_only
         self.handlers = [
             h for h in handler_pool
-            if h.target is sig and all(op in h.defaults for op in h.source.ops)
+            if h.target is sig and all((op, None) in h.clauses for op in h.source.ops)
             and not any(map(_uses_weakening, clause_bodies(h)))]
         self._counter = 0
 
@@ -394,13 +397,11 @@ def run_conformance(bundle, seed=0, count=200, depth=4,
                 shapes += 1
             elif failure is None:
                 failure = f"term {idx}: {res.detail}"
-            ty, _ = grade_of_computation((), comp, sig)
-            if is_primitive(ty):
-                res = verify_soundness_along_trace(comp, sig, max_steps)
-                if res.passed:
-                    sound += 1
-                elif failure is None:
-                    failure = f"term {idx}: {res.detail}"
+            res = verify_soundness_along_trace(comp, sig, max_steps)
+            if res.passed:
+                sound += 1
+            elif failure is None:
+                failure = f"term {idx}: {res.detail}"
         report.add(f"generated[{sig_name}]",
                    failure is None,
                    failure or f"{len(terms)} terms: {shapes} lemma-shape, "

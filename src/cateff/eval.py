@@ -35,7 +35,8 @@ from .grading import Morphism, compose
 from .signature import GradedSignature
 from .terms import (
     App, CompAst, Gunit, Handle, HandlerAst, Inl, Inr, Lam, Let, Match,
-    OpCall, Pair, Program, Proj, Val, ValueAst, Var, fresh_name, substitute,
+    OpCall, Pair, Program, Proj, Val, ValueAst, Var, fresh_name, pp_comp,
+    substitute,
 )
 from .typecheck import clause_for, grade_of_computation
 
@@ -191,7 +192,11 @@ def _apply_rule(d: RedexAt) -> CompAst:
             return substitute(handler.ret_body, {handler.ret_var: v})
         case Handle(_, handler):
             return _handle_op(d.handled, handler)
-    raise EvalError(f"cannot apply {d.rule} to {d.redex!r}")
+    try:
+        redex = pp_comp(d.redex)
+    except TypeError:  # a broken rule can leave a non-term inside the redex
+        redex = repr(d.redex)
+    raise EvalError(f"cannot apply {d.rule} to {redex}")
 
 
 def _handle_op(inner: OpAtTop, handler: HandlerAst) -> CompAst:

@@ -473,21 +473,24 @@ class Parser:
         while not self.peek().kind == "}":
             if self.at_kw("obj"):
                 self.next()
-                src = self.ident("object name").text
+                src = self.ident("object name")
                 self.expect("=>")
                 dst = self.ident("object name").text
                 self.expect(";")
-                object_map[src] = dst
+                self.declare(object_map, src.text, dst,
+                             f"functor {name}: image of object", src)
             elif self.at_kw("gen"):
                 self.next()
-                gname = self.ident("generator name").text
+                gen_tok = self.ident("generator name")
                 self.expect("=>")
                 if self.at_kw("id") and self.peek(1).kind != "(":
                     self.next()
-                    raw_gen_map[gname] = None  # identity at the image object
+                    img = None  # identity at the image object
                 else:
-                    raw_gen_map[gname] = self.parse_path(target)
+                    img = self.parse_path(target)
                 self.expect(";")
+                self.declare(raw_gen_map, gen_tok.text, img,
+                             f"functor {name}: image of generator", gen_tok)
             else:
                 self.fail("expected obj/gen mapping")
         self.expect("}")
@@ -558,9 +561,11 @@ class Parser:
         self.expect("{")
         target_amb = (target.category, target)
         ret_var = ret_body = None
-        clauses, defaults = {}, {}
+        clauses = {}
         while not self.peek().kind == "}":
             if self.at_kw("return"):
+                if ret_body is not None:
+                    self.fail(f"handler {name}: return clause declared twice")
                 self.next()
                 ret_var = self.binder()
                 self.expect("=>")
@@ -581,22 +586,21 @@ class Parser:
                 if self.peek().kind == "@":
                     self.next()
                     k = self.parse_path(source.category)
+                if (op_tok.text, k) in clauses:
+                    what = f"default clause for {op_tok.text}" if k is None \
+                        else f"clause for {op_tok.text} at {k}"
+                    self.fail(f"handler {name}: {what} declared twice", op_tok)
                 self.expect("=>")
                 body = self.parse_comp(target_amb)
                 self.expect(";")
-                clause = Clause(pvar, rvar, body)
-                if k is None:
-                    defaults[op_tok.text] = clause
-                else:
-                    clauses[(op_tok.text, k)] = clause
+                clauses[(op_tok.text, k)] = Clause(pvar, rvar, body)
             else:
                 self.fail("expected return/op clause")
         self.expect("}")
         if ret_body is None:
             self.fail(f"handler {name}: missing return clause")
         handler = HandlerAst(name, source, target, functor, at_tok.text,
-                             in_type, out_type, ret_var, ret_body,
-                             clauses, defaults)
+                             in_type, out_type, ret_var, ret_body, clauses)
         self.declare(self.bundle.handlers, name, handler, "handler", name_tok)
 
     def parse_program(self):

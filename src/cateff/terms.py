@@ -141,8 +141,7 @@ class HandlerAst:
     out_type: Type
     ret_var: str
     ret_body: CompAst
-    clauses: dict  # (op name, Morphism k) -> Clause
-    defaults: dict  # op name -> Clause
+    clauses: dict  # (op name, Morphism k, or None for the default) -> Clause
     # memo written only by the checker: (op, k) -> (demand, dynamic
     # operations) of each clause instance it has accepted, (op, None) -> the
     # default clause's at a dynamically graded call site, None -> the return
@@ -202,8 +201,7 @@ def children(node) -> tuple:
 
 def clause_bodies(h: HandlerAst) -> tuple:
     """The bodies of a handler's return, explicit and default clauses."""
-    return (h.ret_body, *(cl.body for cl in h.clauses.values()),
-            *(cl.body for cl in h.defaults.values()))
+    return (h.ret_body, *(cl.body for cl in h.clauses.values()))
 
 
 def free_vars(node) -> set:
@@ -229,7 +227,7 @@ def fresh_name(base: str, avoid) -> str:
     return f"{base}{n}"
 
 
-def _unshadowed(subs: dict, *binders) -> dict:
+def unshadowed(subs: dict, *binders) -> dict:
     """``subs`` without the names that ``binders`` rebind."""
     if any(name in subs for name in binders):
         return {x: v for x, v in subs.items() if x not in binders}
@@ -252,7 +250,7 @@ def substitute_value(v: ValueAst, subs: dict) -> ValueAst:
             return Pair(substitute_value(left, subs), substitute_value(right, subs))
         case Lam(grade, var, var_type, body):
             return Lam(grade, var, var_type,
-                       substitute(body, _unshadowed(subs, var)))
+                       substitute(body, unshadowed(subs, var)))
     raise TypeError(f"not a value: {v!r}")
 
 
@@ -273,18 +271,18 @@ def substitute(m: CompAst, subs: dict) -> CompAst:
             return Val(obj, substitute_value(v, subs))
         case Let(var, bound, body):
             return Let(var, substitute(bound, subs),
-                       substitute(body, _unshadowed(subs, var)))
+                       substitute(body, unshadowed(subs, var)))
         case App(fn, arg):
             return App(substitute_value(fn, subs), substitute_value(arg, subs))
         case OpCall(op, arg):
             return OpCall(op, substitute_value(arg, subs))
         case Proj(pair, x, y, body):
             return Proj(substitute_value(pair, subs), x, y,
-                        substitute(body, _unshadowed(subs, x, y)))
+                        substitute(body, unshadowed(subs, x, y)))
         case Match(scrut, x, left, y, right):
             return Match(substitute_value(scrut, subs),
-                         x, substitute(left, _unshadowed(subs, x)),
-                         y, substitute(right, _unshadowed(subs, y)))
+                         x, substitute(left, unshadowed(subs, x)),
+                         y, substitute(right, unshadowed(subs, y)))
         case Handle(body, handler):
             return Handle(substitute(body, subs), handler)
         case Gunit(pre, body, post):

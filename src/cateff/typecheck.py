@@ -46,7 +46,7 @@ from .signature import (
 from .terms import (
     App, Clause, CompAst, Gunit, Handle, HandlerAst, Inl, Inr, Lam, Let,
     Match, OpCall, Pair, Program, Proj, StarV, Val, ValueAst, Var, children,
-    clause_bodies, free_vars,
+    clause_bodies, free_vars, unshadowed,
 )
 
 
@@ -56,6 +56,8 @@ class CateffTypeError(Exception):
 
 Ctx = tuple  # of (name, Type), rightmost binding wins
 
+# no demand is built outside handled code: building it there too, so that
+# judge has one mode, read conform 25-50% and a 200-op chain's check 20% slower
 _NONE = frozenset()  # demand and dynamic operations outside handled code
 _RESUME = "<resume>"  # not an operation name; see _check_clause
 _K = "<k>"  # not a generator name; see _check_clause
@@ -86,21 +88,16 @@ def type_of_value(ctx: Ctx, v: ValueAst, sig: GradedSignature) -> Type:
         case Pair(left, right):
             return Prod(type_of_value(ctx, left, sig),
                         type_of_value(ctx, right, sig))
-        case Inl(val, ann):
+        case Inl(val, ann) | Inr(val, ann):
+            is_inl = isinstance(v, Inl)
             if not isinstance(ann, Sum):
-                raise CateffTypeError(f"inl annotated with non-sum type {ann}")
+                raise CateffTypeError(f"{'inl' if is_inl else 'inr'} annotated "
+                                      f"with non-sum type {ann}")
             got = type_of_value(ctx, val, sig)
-            if got != ann.left:
-                raise CateffTypeError(
-                    f"inl payload has type {got}, expected {ann.left}")
-            return ann
-        case Inr(val, ann):
-            if not isinstance(ann, Sum):
-                raise CateffTypeError(f"inr annotated with non-sum type {ann}")
-            got = type_of_value(ctx, val, sig)
-            if got != ann.right:
-                raise CateffTypeError(
-                    f"inr payload has type {got}, expected {ann.right}")
+            want = ann.left if is_inl else ann.right
+            if got != want:
+                raise CateffTypeError(f"{'inl' if is_inl else 'inr'} payload "
+                                      f"has type {got}, expected {want}")
             return ann
         case Lam():
             return _judge_lambda(ctx, v, sig, None)[0]
@@ -112,7 +109,7 @@ def _judge_lambda(ctx: Ctx, lam: Lam, sig: GradedSignature, lams):
     its body (built when ``lams`` is not None)."""
     body_type, body_grade, demand, dynamic = judge(
         ctx + ((lam.var, lam.var_type),), lam.body, sig,
-        lams and _shadow(lams, lam.var))
+        lams and unshadowed(lams, lam.var))
     if body_grade != lam.grade:
         raise CateffTypeError(
             f"lambda annotated {lam.grade} but body has grade {body_grade}")
@@ -134,12 +131,6 @@ def _escaping(v: ValueAst, lams: dict) -> set:
         case Inl(val, _) | Inr(val, _):
             return _escaping(val, lams)
     return set()
-
-
-def _shadow(lams: dict, *names) -> dict:
-    if any(name in lams for name in names):
-        return {k: v for k, v in lams.items() if k not in names}
-    return lams
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +183,7 @@ def judge(ctx: Ctx, m: CompAst, sig: GradedSignature, lams):
             else:
                 bound_type, f, bound_demand, bound_dynamic = judge(
                     ctx, bound, sig, lams)
-                body_lams = lams and _shadow(lams, var)
+                body_lams = lams and unshadowed(lams, var)
             body_type, g, demand, dynamic = judge(
                 ctx + ((var, bound_type),), body, sig, body_lams)
             if f.cod != g.dom:
@@ -232,7 +223,7 @@ def judge(ctx: Ctx, m: CompAst, sig: GradedSignature, lams):
                 raise CateffTypeError(f"split of non-product of type {pair_type}")
             ty, g, demand, dynamic = judge(
                 ctx + ((x, pair_type.left), (y, pair_type.right)), body, sig,
-                lams and _shadow(lams, x, y))
+                lams and unshadowed(lams, x, y))
             if lams is not None:
                 dynamic |= _escaping(pair, lams)
             return ty, g, demand, dynamic
@@ -242,10 +233,10 @@ def judge(ctx: Ctx, m: CompAst, sig: GradedSignature, lams):
                 raise CateffTypeError(f"case on non-sum of type {scrut_type}")
             lt, lf, demand, dynamic = judge(
                 ctx + ((x, scrut_type.left),), left, sig,
-                lams and _shadow(lams, x))
+                lams and unshadowed(lams, x))
             rt, rf, right_demand, right_dynamic = judge(
                 ctx + ((y, scrut_type.right),), right, sig,
-                lams and _shadow(lams, y))
+                lams and unshadowed(lams, y))
             if lt != rt:
                 raise CateffTypeError(f"case branches have types {lt} and {rt}")
             if lf != rf:
@@ -336,7 +327,7 @@ def check_handler(h: HandlerAst) -> HandlerAst:
         raise CateffTypeError(
             f"handler {h.name}: return clause has grade {ret_grade}, "
             f"expected id({at_img})")
-    for (op, k), clause in h.clauses.items():
+    for op, k in [key for key in h.clauses if key[1] is not None]:
         decl = h.source[op]
         if k.cod != h.at_obj:
             raise CateffTypeError(
@@ -347,10 +338,9 @@ def check_handler(h: HandlerAst) -> HandlerAst:
                 f"handler {h.name}: clause for {op} at {k} does not start "
                 f"at the codomain {decl.grade.cod} of the operation grade")
         _check_clause(h, op, k)
-    for op, clause in h.defaults.items():
-        unbound = free_vars(clause.body) \
-            - {clause.param_var, clause.resume_var}
-        if unbound:
+    for (op, k), clause in h.clauses.items():
+        if k is None and (unbound := free_vars(clause.body)
+                          - {clause.param_var, clause.resume_var}):
             raise CateffTypeError(
                 f"handler {h.name}: unbound variable {min(unbound)!r} "
                 f"in the default clause for {op}")
@@ -409,7 +399,7 @@ def _check_clause(h: HandlerAst, op: str, k: Morphism | None) -> tuple:
 
 def clause_for(h: HandlerAst, op: str, k: Morphism | None) -> Clause:
     """Clause selection: explicit clause at this k first, then the default."""
-    clause = h.clauses.get((op, k)) or h.defaults.get(op)
+    clause = h.clauses.get((op, k)) or h.clauses.get((op, None))
     if clause is None:
         at = f"at continuation grade {k}" if k is not None \
             else "for a dynamically graded call site"

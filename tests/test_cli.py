@@ -136,6 +136,58 @@ def test_load_error_names_the_file(text, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+REPEATS = """
+category S { objects a; gen g : a -> a; }
+category T { objects pt; }
+functor F : S -> T { obj a => pt; gen g => id; OBJGEN}
+signature Sig over S { op t : 1 ~> 1 @ g; }
+signature PointSig over T { }
+handler h over Sig to PointSig via F at a : 1 => 1+1 {
+  return x => val pt (inl () : 1+1);
+  op t(p), r @ id(a) => r ();
+  op t(p), r => r ();
+  RETURN
+  EXPLICIT
+  DEFAULT
+}
+program main over PointSig : 1+1 @ id(pt) { handle (do t(())) with h }
+"""
+REPEAT_SLOTS = ("OBJ", "GEN", "RETURN", "EXPLICIT", "DEFAULT")
+
+
+@pytest.mark.parametrize("slot, text, message", [
+    ("OBJ", "obj a => pt;",
+     "functor F: image of object 'a' declared twice at 4:52"),
+    ("GEN", "gen g => id;",
+     "functor F: image of generator 'g' declared twice at 4:52"),
+    ("RETURN", "return y => val pt (inr () : 1+1);",
+     "handler h: return clause declared twice at 11:3"),
+    ("EXPLICIT", "op t(p), r @ id(a) => val pt (inr () : 1+1);",
+     "handler h: clause for t at id(a) declared twice at 12:6"),
+    ("DEFAULT", "op t(p), r => val pt (inr () : 1+1);",
+     "handler h: default clause for t declared twice at 13:6"),
+], ids=["object", "generator", "return", "explicit", "default"])
+def test_a_repeated_clause_or_map_is_a_load_error(slot, text, message,
+                                                  tmp_path, capsys):
+    # a repeat used to replace the first silently: the handler then ran
+    # its second clause
+    def source(filled):
+        out = REPEATS
+        for name in REPEAT_SLOTS:
+            out = out.replace(name, filled if name == slot else "")
+        return out
+
+    path = tmp_path / "repeat.ceff"
+    path.write_text(source(""), encoding="utf-8")
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out == "main: val pt (inl () : 1+1)\n"
+    path.write_text(source(text), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["check", "run", "denote"])
 def test_rewrite_overrun_after_loading_is_an_error_line(command, tmp_path,
                                                          capsys, monkeypatch):
@@ -214,6 +266,27 @@ def test_run_trace_prints_graded_configurations(capsys):
     # the first step exposes the graded resumption lambda of the handler
     assert "pair_main[1] @ id(pt): (fun^id(pt) (" in out
     assert "pair_main[7] @ id(pt): val pt" in out
+
+
+def test_run_trace_asks_the_checker_nothing_per_configuration(monkeypatch,
+                                                             capsys):
+    # every configuration keeps the program's judged grade, so tracing
+    # prints that grade and judges no configuration
+    import cateff.typecheck
+    calls = []
+    real_judge = cateff.typecheck.judge
+
+    def counting(*args):
+        calls.append(args)
+        return real_judge(*args)
+
+    monkeypatch.setattr(cateff.typecheck, "judge", counting)
+    counts = []
+    for argv in (["run"], ["run", "--trace"]):
+        calls.clear()
+        assert main([*argv, theory_path("pair_handler")]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_run_exceeding_step_budget_exits_two(capsys):

@@ -13,7 +13,7 @@ from cateff.conformance import (
 from cateff.parser import parse_bundle
 from cateff.signature import UNIT, is_primitive
 from cateff.terms import (
-    App, Handle, Let, Match, OpCall, Proj, StarV, Val, pp_comp,
+    App, Handle, Lam, Let, Match, OpCall, Proj, StarV, Val, Var, pp_comp,
 )
 from cateff.typecheck import (
     CateffTypeError, check_bundle, clause_for, grade_of_computation,
@@ -323,6 +323,26 @@ def test_an_ill_typed_contractum_is_reported_not_raised(pair_bundle,
     assert any("cannot apply S-App" in r.detail for r in failed)
 
 
+def test_a_redex_no_rule_applies_to_prints_as_source(session_bundle,
+                                                     monkeypatch):
+    # the machine's failure detail shows the redex in cateff syntax, and
+    # falls back to its repr when a broken rule left a non-term inside
+    rule, contractum = SABOTAGES["app_of_star"]
+    real_apply = cateff.eval._apply_rule
+    monkeypatch.setattr(cateff.eval, "_apply_rule", lambda d: contractum(d)
+                        if d.rule == rule else real_apply(d))
+    report = run_conformance(session_bundle, count=40)
+    assert ("FAIL adequacy[SessionSig]: unit term 0: cannot apply S-App to "
+            "() ()" in [r.line() for r in report.results])
+    monkeypatch.setattr(cateff.eval, "_apply_rule", lambda d: App(StarV(), 7)
+                        if d.rule == rule else real_apply(d))
+    sig = session_bundle.signatures["SessionSig"]
+    with pytest.raises(cateff.eval.EvalError) as exc:
+        cateff.eval.run(Let("x", Val("one", StarV()), Val("one", StarV())),
+                        sig)
+    assert str(exc.value) == "cannot apply S-App to App(fn=StarV(), arg=7)"
+
+
 def test_an_ill_graded_configuration_is_reported_not_raised(monkeypatch):
     # sabotage the steps the checks consume: the third configuration of
     # each WideSig run binds a value at lo in front of a computation at pt.
@@ -490,3 +510,26 @@ def test_a_denotation_error_on_a_well_typed_configuration_is_raised(
     prog = pair_bundle.programs["pair_main"]
     with pytest.raises(ZeroDivisionError, match="denotation bug"):
         verify_soundness_along_trace(prog.body, prog.signature)
+
+    # a type error that denote itself raises is no verdict either
+    def raising_a_type_error(names, m, env, sig):
+        raise CateffTypeError("raised by denote")
+
+    monkeypatch.setattr(conf, "denote_computation", raising_a_type_error)
+    with pytest.raises(CateffTypeError, match="raised by denote"):
+        verify_soundness_along_trace(prog.body, prog.signature)
+
+
+def test_a_generated_term_of_function_type_fails_soundness(session_bundle,
+                                                           monkeypatch):
+    # soundness compares trees of primitive type only; a generated term of
+    # another type is a FAIL line, never a skipped check
+    import cateff.conformance as conf
+    sig = session_bundle.signatures["SessionSig"]
+    one = sig.category.identity("one")
+    lam = Lam(one, "x", UNIT, Val("one", Var("x")))
+    monkeypatch.setattr(conf, "generate_wellgraded_terms",
+                        lambda *args: [Val("one", lam)])
+    report = run_conformance(session_bundle, count=4)
+    assert ("FAIL generated[SessionSig]: term 0: program rejected: result "
+            "type is not primitive" in [r.line() for r in report.results])

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, the package
 defines nothing, not even a method, that only tests name, only the checker
 and its callers handle a type error, every error class is caught by name
-somewhere, and no catch-all handler swallows what it catches.
+somewhere, no catch-all handler swallows what it catches, and no two
+functions share a body.
 
 The checks read the AST, so they need no linter.  An imported name counts
 as used when it is loaded anywhere in the module, appears in a string
@@ -9,6 +10,7 @@ annotation, or is listed in the module's ``__all__``; ``from __future__``
 imports are exempt.
 """
 import ast
+import copy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -171,3 +173,34 @@ def test_no_catch_all_swallows_an_error():
                 if not (isinstance(last, ast.Raise) and last.exc is None):
                     swallowing.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert swallowing == []
+
+
+def _shape(fn):
+    """``fn`` with its names, annotations and docstring abstracted away:
+    arguments and names are renamed in order of first use."""
+    fn = copy.deepcopy(fn)
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    renamed = {}
+    for node in ast.walk(ast.Module([fn.args, *body], [])):
+        if isinstance(node, ast.arg):
+            node.arg = renamed.setdefault(node.arg, f"v{len(renamed)}")
+            node.annotation = None
+        elif isinstance(node, ast.Name):
+            node.id = renamed.setdefault(node.id, f"v{len(renamed)}")
+    return ast.dump(fn.args) + "".join(map(ast.dump, body))
+
+
+def test_no_two_functions_share_a_body():
+    # one job, one function: two bodies that differ only in their names
+    # are one helper kept twice
+    seen, copies = {}, []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) \
+                    and sum(1 for _ in ast.walk(node)) >= 15:
+                where = f"{path.name}:{node.name}"
+                shape = _shape(node)
+                if shape in seen:
+                    copies.append(sorted([seen[shape], where]))
+                seen.setdefault(shape, where)
+    assert copies == []

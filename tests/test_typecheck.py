@@ -13,7 +13,7 @@ from cateff.grading import compose
 from cateff.parser import parse_bundle
 from cateff.signature import Arrow, Prod, Sum, UNIT
 from cateff.terms import (
-    App, Handle, Lam, Let, OpCall, StarV, Val, Var, substitute,
+    App, Handle, Inl, Inr, Lam, Let, OpCall, StarV, Val, Var, substitute,
 )
 from cateff.typecheck import (
     CateffTypeError, check_bundle, check_handler, check_program,
@@ -32,6 +32,19 @@ def test_unbound_variable(session_bundle):
     sig = session_bundle.signatures["SessionSig"]
     with pytest.raises(CateffTypeError, match="unbound variable 'ghost'"):
         type_of_value((), Var("ghost"), sig)
+
+
+@pytest.mark.parametrize("value, message", [
+    (Inl(StarV(), UNIT), "inl annotated with non-sum type 1"),
+    (Inr(StarV(), UNIT), "inr annotated with non-sum type 1"),
+    (Inl(StarV(), Sum(BOOL, UNIT)), "inl payload has type 1, expected 1+1"),
+    (Inr(StarV(), Sum(UNIT, BOOL)), "inr payload has type 1, expected 1+1"),
+], ids=["inl_non_sum", "inr_non_sum", "inl_payload", "inr_payload"])
+def test_an_injection_error_names_its_side(value, message, session_bundle):
+    sig = session_bundle.signatures["SessionSig"]
+    with pytest.raises(CateffTypeError) as exc:
+        type_of_value((), value, sig)
+    assert str(exc.value) == message
 
 
 def test_identity_lambda_types_at_its_annotation(session_bundle):
