@@ -25,7 +25,6 @@ from .eval import (
     DEFAULT_MAX_STEPS, EvalError, MaxStepsExceeded, OpAtTop, run, steps,
 )
 from .freemodel import Leaf, tree_to_json
-from .grading import GradingError
 from .signature import (
     GradedSignature, Prod, STAR, Sum, Type, UNIT, is_primitive,
 )
@@ -370,7 +369,7 @@ def run_conformance(bundle, seed=0, count=200, depth=4,
     report = ConformanceReport()
     try:
         judgements = check_bundle(bundle)
-    except (CateffTypeError, GradingError) as exc:
+    except CateffTypeError as exc:
         report.add("typecheck", False, str(exc))
         return report
     report.add("typecheck", True, f"{len(judgements)} program(s)")

@@ -63,6 +63,20 @@ def morphisms_from(cat, obj, max_len):
     return sorted(found.values(), key=lambda m: (len(m.path), m.path))
 
 
+def composable_paths(cat, max_len):
+    """Every composable generator path of ``cat`` with 1 to max_len
+    generators, shortest first."""
+    by_dom: dict[str, list[str]] = {}
+    for gen in cat.generators.values():
+        by_dom.setdefault(gen.dom, []).append(gen.name)
+    paths = [(name,) for name in cat.generators]
+    for _ in range(max_len - 1):
+        yield from paths
+        paths = [path + (name,) for path in paths
+                 for name in by_dom.get(cat.generators[path[-1]].cod, ())]
+    yield from paths
+
+
 def pair_name(a, b):
     return f"<{a},{b}>"
 

@@ -18,7 +18,9 @@ from cateff.parser import parse_bundle
 from cateff.signature import is_primitive
 from cateff.terms import App, Handle, Inl, Inr, Lam, Let, Pair, Val, Var
 from cateff.typecheck import check_bundle, check_handler, grade_of_computation
-from conftest import morphisms_from, pair_completion, pair_name, theory_text
+from conftest import (
+    composable_paths, morphisms_from, pair_completion, pair_name, theory_text,
+)
 
 
 def _report(name, started):
@@ -203,7 +205,7 @@ def test_category_law_suite():
                     assert compose(compose(f, g), h) == compose(f, compose(g, h))
                     total_triples += 1
         # normalization idempotence up to length 6
-        for path in cat._composable_paths(6):
+        for path in composable_paths(cat, 6):
             once = cat.normalize(path)
             assert cat.normalize(once) == once
     assert total_triples > 300  # exhaustive and far from vacuous
@@ -227,7 +229,7 @@ def test_category_law_suite():
     # pair completion: composites with a pair generator collapse to one
     for comp in (cats[4], cats[5]):
         pair_gens = {name for name in comp.generators if name.startswith("<")}
-        for path in comp._composable_paths(3):
+        for path in composable_paths(comp, 3):
             if any(name in pair_gens for name in path):
                 norm = comp.normalize(path)
                 assert len(norm) == 1 and norm[0] in pair_gens

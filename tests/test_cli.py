@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import cateff.conformance
-from cateff import grading
 from cateff.cli import main
 from conftest import theory_path
 
@@ -97,6 +96,12 @@ def test_unparsable_file_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# a ranks above b above c above d, so d.a = a.b closes a cycle
+CYCLE = """category C { objects s; gen a : s -> s; gen b : s -> s; gen c : s -> s;
+gen d : s -> s; rule a.d = b.d; rule b = c; rule c.c = c.d; rule d.a = a.b; }
+"""
+
+
 @pytest.mark.parametrize("text, message", [
     ("category ???", "unexpected character '?' at 1:10"),
     ("category C { objects a; gen g : a -> a; } category D { objects b; }\n"
@@ -105,12 +110,22 @@ def test_unparsable_file_exits_one(tmp_path, capsys):
     ("category C { objects a; gen g : a -> a; }\n"
      "signature S over C { op t : 1 ~> 1 @ g; op t : 1 ~> 1 @ g; }",
      "invalid signature S: operation 't' declared twice at 2:1"),
-    # no path of length <= 3 meets a rule, so only the probe of the
-    # left-hand sides sees that they rewrite into each other
+    # the left-hand sides rewrite into each other: the first rule ranks a
+    # above d, and the second needs d above a
     ("category C { objects s; gen a : s -> s; gen b : s -> s;\n"
      "gen c : s -> s; gen d : s -> s;\n"
      "rule a.b.c.d = d.c.b.a; rule d.c.b.a = a.b.c.d; }",
-     "invalid category C: rewriting of a.b.c.d exceeded 10000 steps at 1:1"),
+     "invalid category C: rule d.c.b.a = a.b.c.d needs d ranked above a, but "
+     "the rules before it rank a above d at 1:1"),
+    # a = b.c may well terminate, but no shortlex order makes it decrease
+    ("category C { objects s; gen a : s -> s; gen b : s -> s; gen c : s -> s;\n"
+     "rule a = b.c; }",
+     "invalid category C: rule a = b.c lengthens the path; write it the other "
+     "way round at 1:1"),
+    ("category C { objects s; gen g : s -> s; rule g = g; }",
+     "invalid category C: rule g = g rewrites a path to itself at 1:1"),
+    (CYCLE, "invalid category C: rule d.a = a.b needs d ranked above a, but "
+     "the rules before it rank a above d at 1:1"),
     # the left-hand sides overlap only on a path of length 5
     ("category C { objects s; gen a : s -> s; gen b : s -> s; gen c : s -> s;\n"
      "gen d : s -> s; gen e : s -> s; gen f : s -> s;\n"
@@ -126,6 +141,7 @@ def test_unparsable_file_exits_one(tmp_path, capsys):
      "invalid functor G: functor G sends wide generator w to q, "
      "which is not wide at 3:1"),
 ], ids=["token", "unknown_object", "duplicate_op", "nonterminating_lhs",
+        "lengthening_rule", "rule_to_itself", "ranking_cycle",
         "nonconfluent_overlap", "wide_not_closed", "functor_leaves_wide"])
 def test_load_error_names_the_file(text, message, tmp_path, capsys):
     path = tmp_path / "bad.ceff"
@@ -189,23 +205,24 @@ def test_a_repeated_clause_or_map_is_a_load_error(slot, text, message,
 
 
 @pytest.mark.parametrize("command", ["check", "run", "denote"])
-def test_rewrite_overrun_after_loading_is_an_error_line(command, tmp_path,
-                                                         capsys, monkeypatch):
-    # a.b = b.a terminates, but moving the a of a.b.b.b.b past four b's takes
-    # four rewrites; with a cap of 3 the probe passes and the checker overruns
-    monkeypatch.setattr(grading, "STEP_CAP", 3)
+def test_a_long_path_of_a_terminating_system_normalizes(command, tmp_path,
+                                                        capsys):
+    # leftmost rewriting of a^100.b^100 to b^100.a^100 takes 10,000 steps;
+    # a.b = b.a decreases in shortlex order, so no cap stops it.  Each
+    # operation is graded a^10 or b^10, as denote stops at 198 lets
+    a10, b10 = ".".join("a" * 10), ".".join("b" * 10)
+    lets = "".join(f"let x{i} <- do {op}(()) in "
+                   for i, op in enumerate(["pa"] * 10 + ["pb"] * 9))
     path = tmp_path / "comm.ceff"
-    path.write_text("""
-    category C { objects s; gen a : s -> s; gen b : s -> s; rule a.b = b.a; }
-    signature S over C { op pa : 1 ~> 1 @ a; op pb : 1 ~> 1 @ b; }
-    program p over S : 1 @ b.b.b.b.a {
-      let x <- do pa(()) in let y <- do pb(()) in let z <- do pb(()) in
-      let w <- do pb(()) in do pb(())
-    }
+    path.write_text(f"""
+    category C {{ objects s; gen a : s -> s; gen b : s -> s; rule a.b = b.a; }}
+    signature S over C {{ op pa : 1 ~> 1 @ {a10}; op pb : 1 ~> 1 @ {b10}; }}
+    program p over S : 1 @ {'.'.join("a" * 100 + "b" * 100)} {{
+      {lets}do pb(())
+    }}
     """, encoding="utf-8")
-    assert main([command, str(path)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {path}: rewriting of a.b.b.b.b exceeded 3 steps\n")
+    assert main([command, str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_closed_stdout_ends_quietly(tmp_path):
@@ -329,6 +346,23 @@ def test_bad_max_steps_env_is_a_usage_error_of_run_and_conform(
     err = capsys.readouterr().err
     assert "argument --max-steps: invalid int value: 'abc'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("env, argv, message", [
+    ("", ["run", "--max-steps", "-1"], "--max-steps: negative value: '-1'"),
+    ("", ["conform", "--count", "-3"], "--count: negative value: '-3'"),
+    ("", ["conform", "--depth", "-1"], "--depth: negative value: '-1'"),
+    ("-5", ["run"], "--max-steps: negative value: '-5'"),
+    ("-5", ["conform"], "--max-steps: negative value: '-5'"),
+], ids=["max_steps", "count", "depth", "env_run", "env_conform"])
+def test_a_negative_count_is_a_usage_error(env, argv, message, monkeypatch,
+                                           capsys):
+    # -1 steps used to stop run at once, and --count -3 still drew a program
+    monkeypatch.setenv("CATEFF_MAX_STEPS", env)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, theory_path("pair_handler")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: argument {message}\n")
 
 
 def test_denote_json_output(capsys):
@@ -515,26 +549,36 @@ status = 0
 for path in sys.argv[1:]:
     for command in (["run", "--trace"], ["denote", "--json"],
                     ["conform", "--count", "40", "--json-report"]):
-        status |= main([*command, path])
+        try:
+            status |= main([*command, path])
+        except SystemExit as exc:  # a load error, printed on stderr
+            print(f"{path}: exit {exc.code}")
 sys.exit(status)
 """
 
 
-def test_output_does_not_depend_on_the_hash_seed():
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     # the checker and the walks over terms build sets of names and of
-    # operations; none of their iteration orders may reach the output
+    # operations, and the loader sets of generators ranked below each other;
+    # none of their iteration orders may reach the output
+    cycle = tmp_path / "cycle.ceff"
+    cycle.write_text(CYCLE, encoding="utf-8")
     paths = [theory_path(name)
              for name in ("session", "pair_handler", "mutstore", "widened")]
     src = str(Path(cateff.__file__).resolve().parents[1])
-    outputs = []
+    outputs, errors = [], []
     for seed in ("0", "1"):
         env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
-        proc = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT, *paths],
+        proc = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT, *paths,
+                               str(cycle)],
                               capture_output=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
+        errors.append(proc.stderr)
     assert outputs[0].count(b'"ok": true') == 4  # every report was printed
     assert outputs[0] == outputs[1]
+    assert errors[0].count(b"needs d ranked above a") == 3
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])

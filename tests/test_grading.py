@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from cateff.grading import (
     GradingCategory, GradingError, GradingFunctor, build_category, compose,
 )
-from conftest import morphisms_from, pair_completion, pair_name
+from conftest import (
+    composable_paths, morphisms_from, pair_completion, pair_name,
+)
 
 
 def session_category():
@@ -41,8 +43,8 @@ def test_rule_with_unequal_endpoints_rejected():
 
 
 def test_growing_rule_is_rejected_as_nonterminating():
-    with pytest.raises(GradingError,
-                       match="rewriting of g exceeded 10000 steps"):
+    with pytest.raises(GradingError, match="rule g = g.g lengthens the path; "
+                                           "write it the other way round"):
         build_category("Loop", ["a"], [("g", "a", "a")],
                        rules=[(("g",), ("g", "g"))])
 
@@ -66,7 +68,7 @@ class Unchecked(GradingCategory):
 def probe_accepts(cat):
     """The local-confluence probe that critical pairs replaced: no composable
     path up to length 4 has one-step reducts with distinct normal forms."""
-    for path in cat._composable_paths(4):
+    for path in composable_paths(cat, 4):
         reducts = {path[:p] + rule.rhs + path[p + len(rule.lhs):]
                    for p in range(len(path)) for rule in cat.rules
                    if path[p:p + len(rule.lhs)] == rule.lhs}
@@ -85,20 +87,22 @@ def critical_pairs_accept(objects, gens, rules):
 
 
 @st.composite
-def presentations(draw, max_lhs):
+def presentations(draw, max_lhs, same_length=False):
     """1-2 objects, 1-4 generators and up to 4 rules whose right-hand side is
-    shorter than their left-hand side, so that rewriting terminates."""
+    shorter than their left-hand side, so that rewriting terminates.  With
+    ``same_length`` it may also be as long, and rewriting may not end."""
     objects = ("o0", "o1")[:draw(st.integers(1, 2))]
     gens = [(f"g{i}", draw(st.sampled_from(objects)),
              draw(st.sampled_from(objects)))
             for i in range(draw(st.integers(1, 4)))]
     free = Unchecked("P", objects, gens)
     ends = {path: free._path_endpoints(path)
-            for path in free._composable_paths(max_lhs)}
+            for path in composable_paths(free, max_lhs)}
     rules = []
     for _ in range(draw(st.integers(0, 4))):
         lhs = draw(st.sampled_from(sorted(ends)))
-        rhs = [p for p in ends if len(p) < len(lhs) and ends[p] == ends[lhs]]
+        rhs = [p for p in ends if ends[p] == ends[lhs] and p != lhs and (
+            len(p) < len(lhs) or same_length and len(p) == len(lhs))]
         if ends[lhs][0] == ends[lhs][1]:
             rhs.append(())
         if rhs:
@@ -126,13 +130,52 @@ def test_critical_pairs_never_accept_what_the_path_probe_rejects(pres):
         assert not critical_pairs_accept(*pres)
 
 
+CAP = 2000  # above the 1,365 paths of length <= 5 over 4 generators
+
+
+class Capped(GradingCategory):
+    """The loader with a leftmost rewriter that fails after CAP rewrites, so
+    that a system it wrongly accepts fails the test and hangs nothing."""
+
+    def normalize(self, path):
+        path = tuple(path)
+        for _ in range(CAP):
+            hit = next(((p, rule) for p in range(len(path)) for rule in self.rules
+                        if path[p:p + len(rule.lhs)] == rule.lhs), None)
+            if hit is None:
+                return path
+            p, rule = hit
+            path = path[:p] + rule.rhs + path[p + len(rule.lhs):]
+        raise AssertionError(f"{'.'.join(path)} still rewrites after {CAP} steps")
+
+
+@PROPERTY
+@given(presentations(max_lhs=3, same_length=True))
+def test_rewriting_ends_in_the_normal_form_under_every_accepted_order(pres):
+    # in an accepted system each rewrite leads to a smaller path in shortlex
+    # order, so a path no longer than 5 (the longest critical pair) rewrites
+    # fewer than CAP times
+    try:
+        capped = Capped("P", *pres)
+    except GradingError:
+        return
+    cat = build_category("P", *pres)
+    for path in composable_paths(cat, 4):
+        normal = capped.normalize(path)  # fails where cat.normalize would hang
+        assert cat.normalize(path) == normal
+
+
 def test_thirty_generators_load_in_under_a_second():
-    # the path probe this replaced walked all 30^4 paths of length 4 (2 s)
-    gens = [(f"g{i}", "s", "s") for i in range(30)]
-    rules = [((f"g{i}", f"g{i + 1}"), ()) for i in (0, 2, 4)]
-    start = time.perf_counter()
-    build_category("Many", ["s"], gens, rules)
-    assert time.perf_counter() - start < 1.0
+    # the path probe this replaced walked all 30^4 paths of length 4 (2 s),
+    # and the probe of all paths of length 3 took 78 s on 120 generators
+    thirty = [(f"g{i}", "s", "s") for i in range(30)]
+    cancelling = [((f"g{i}", f"g{i + 1}"), ()) for i in (0, 2, 4)]
+    many = [(f"g{i}", "s", "s") for i in range(120)]
+    idempotent = [((f"g{i}", f"g{i}"), (f"g{i}",)) for i in range(120)]
+    for gens, rules in ((thirty, cancelling), (many, idempotent)):
+        start = time.perf_counter()
+        build_category("Many", ["s"], gens, rules)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_compose_unit_laws():
@@ -169,7 +212,7 @@ def test_compose_endpoint_mismatch():
 def test_normalization_is_idempotent_up_to_length_six():
     for cat in (session_category(), proto_category(),
                 pair_completion(discrete_ab())):
-        for path in cat._composable_paths(6):
+        for path in composable_paths(cat, 6):
             once = cat.normalize(path)
             assert cat.normalize(once) == once
 
@@ -321,7 +364,7 @@ def test_pair_generators_absorb_plain_morphisms():
 def test_every_composite_with_a_pair_generator_is_a_single_pair_generator():
     comp = pair_completion(proto_category())
     pair_gens = {name for name in comp.generators if name.startswith("<")}
-    for path in comp._composable_paths(3):
+    for path in composable_paths(comp, 3):
         if any(name in pair_gens for name in path):
             norm = comp.normalize(path)
             assert len(norm) == 1 and norm[0] in pair_gens

@@ -142,7 +142,7 @@ def test_only_the_checker_and_its_callers_handle_type_errors():
 def test_every_exception_class_is_caught_by_name():
     # an error class that no caller catches by name tells callers nothing
     # its base class does not; Stuck goes with the weakening shapes it
-    # blocks on, once they have step rules (ROADMAP item 8)
+    # blocks on, once they have step rules (ROADMAP item 9)
     readers = [*PACKAGE, *(ROOT / "perfbench").glob("*.py")]
     caught = set()
     for path in readers:
